@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt check fuzz bench bench-smoke bench-compare explain-smoke chaos-smoke shard-smoke codec-smoke serve-smoke subs-smoke
+.PHONY: all build test race vet fmt check fuzz bench bench-check bench-smoke bench-compare explain-smoke chaos-smoke shard-smoke codec-smoke serve-smoke subs-smoke
 
 all: check
 
@@ -27,9 +27,16 @@ check: vet fmt race
 
 fuzz:
 	$(GO) test ./internal/page -fuzz FuzzChecksumRoundTrip -fuzztime 30s
+	$(GO) test ./internal/query -fuzz FuzzQuery -fuzztime 10s
 
 bench:
 	$(GO) test -bench . -benchmem ./...
+
+# The benchmark of record (bench/, its own Go 1.24 module) must keep
+# compiling against the internal packages it drives.
+bench-check:
+	$(GO) -C bench vet ./...
+	$(GO) -C bench test -race ./...
 
 # Quick micro-benchmark pass (compile + a short run of every
 # benchmark) — catches benchmarks that no longer build or crash.

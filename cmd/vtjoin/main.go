@@ -8,7 +8,7 @@
 //	       [-type inner|left|right|full]
 //	       [-predicate intersects|contains|containedin|equal]
 //	       [-memory pages] [-ratio R] [-seed S] [-coalesce]
-//	       [-shards K] [-shard-workers W] [-timeout duration]
+//	       [-shards K] [-timeout duration]
 //	       [-stats] [-explain] [-trace out.json] [-audit]
 //	       [-o out.csv] left.csv right.csv
 //
@@ -63,7 +63,6 @@ func main() {
 	ratio := flag.Float64("ratio", 5, "random:sequential access cost ratio")
 	seed := flag.Int64("seed", 1, "sampling seed (partition join)")
 	shards := flag.Int("shards", 1, "time-shard the join across this many independent pipelines (inner joins only)")
-	shardWorkers := flag.Int("shard-workers", 0, "concurrent shard pipelines (0 = one per CPU; only with -shards > 1)")
 	coalesce := flag.Bool("coalesce", false, "coalesce the result before writing")
 	stats := flag.Bool("stats", false, "print the per-phase I/O cost report to stderr")
 	explain := flag.Bool("explain", false, "print the execution trace and planner candidate curve to stderr")
@@ -80,18 +79,14 @@ func main() {
 	if *shards < 1 {
 		usage(fmt.Errorf("-shards must be at least 1, got %d", *shards))
 	}
-	if *shardWorkers < 0 {
-		usage(fmt.Errorf("-shard-workers must be non-negative, got %d", *shardWorkers))
-	}
 
 	opts := vtjoin.Options{
-		MemoryPages:  *memory,
-		RandomCost:   *ratio,
-		Seed:         *seed,
-		Shards:       *shards,
-		ShardWorkers: *shardWorkers,
-		Trace:        *explain || *traceOut != "",
-		TraceAudit:   *audit,
+		MemoryPages: *memory,
+		RandomCost:  *ratio,
+		Seed:        *seed,
+		Shards:      *shards,
+		Trace:       *explain || *traceOut != "",
+		TraceAudit:  *audit,
 	}
 	switch *algoFlag {
 	case "partition":
@@ -239,6 +234,7 @@ func validateTrace(path string, joinIO vtjoin.IOCounters) error {
 		RandWrites: joinIO.RandomWrites,
 		SeqWrites:  joinIO.SequentialWrites,
 		Retries:    joinIO.Retries,
+		BytesMoved: joinIO.BytesMoved,
 	}
 	// Sharded runs adopt per-shard subtrees recorded against private
 	// devices; their totals are excluded so the comparison stays against

@@ -241,7 +241,7 @@ func runCodecCell(p Params, name string, format page.Format, left, right []tuple
 	d.ResetCounters()
 	var sink ChecksumSink
 	wallStart, cpuStart := time.Now(), cost.ProcessCPUTime()
-	rep, _, err := join.Partition(r, s, &sink, join.PartitionConfig{
+	rep, err := join.Run(join.AlgorithmPartition, r, s, &sink, join.Spec{
 		Ctx:         p.Ctx,
 		MemoryPages: memoryPages,
 		Weights:     cost.Ratio(5),

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 
@@ -45,54 +44,31 @@ func buildPair(p Params, longLivedScaled int) (*disk.Disk, *relation.Relation, *
 	return d, r, s, nil
 }
 
-// auditTracer returns a tracer running the invariant audits over r's
-// device, or nil when auditing is off (a nil tracer is a no-op, so the
-// join runs identically either way).
-func auditTracer(r *relation.Relation, name string, audit bool) *trace.Tracer {
-	if !audit {
-		return nil
+// runJoin executes algo once under spec and returns its phase report;
+// audit runs the invariant audits alongside (a nil tracer is a no-op,
+// so the join runs identically either way). Sort-merge counters are
+// ratio-independent, so the figures weight them per ratio afterwards;
+// the weights steer the partition join's plan, so each ratio is a
+// separate partition run.
+func runJoin(algo join.Algorithm, r, s *relation.Relation, spec join.Spec, audit bool) (*cost.Report, error) {
+	if audit {
+		spec.Tracer = trace.New(r.Disk(), algo.Label(), trace.Options{Audit: true})
 	}
-	return trace.New(r.Disk(), name, trace.Options{Audit: true})
-}
-
-// runSortMerge executes sort-merge once and returns its phase report
-// (counters are ratio-independent; weight them per ratio afterwards).
-func runSortMerge(ctx context.Context, r, s *relation.Relation, memoryPages int, audit bool) (*cost.Report, error) {
 	var sink relation.CountSink
-	tr := auditTracer(r, "sort-merge", audit)
-	rep, _, err := join.SortMerge(r, s, &sink, join.SortMergeConfig{
-		Ctx:         ctx,
-		MemoryPages: memoryPages,
-		Tracer:      tr,
-	})
+	rep, err := join.Run(algo, r, s, &sink, spec)
 	if err != nil {
 		return nil, err
 	}
-	if _, err := tr.Finish(); err != nil {
+	if _, err := spec.Tracer.Finish(); err != nil {
 		return nil, err
 	}
 	return rep, nil
 }
 
-// runPartition executes the partition join under the given weights
-// (weights influence the chosen plan, so each ratio is a separate run).
-func runPartition(ctx context.Context, r, s *relation.Relation, memoryPages int, w cost.Weights, seed int64, audit bool) (*cost.Report, *join.PartitionStats, error) {
-	var sink relation.CountSink
-	tr := auditTracer(r, "partition-join", audit)
-	rep, stats, err := join.Partition(r, s, &sink, join.PartitionConfig{
-		Ctx:         ctx,
-		MemoryPages: memoryPages,
-		Weights:     w,
-		Rng:         rand.New(rand.NewSource(seed)),
-		Tracer:      tr,
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	if _, err := tr.Finish(); err != nil {
-		return nil, nil, err
-	}
-	return rep, stats, nil
+// joinSpec configures a figure's join with memoryPages of buffer; the
+// weights w and a sampler seeded with seed steer the partition join.
+func (p Params) joinSpec(memoryPages int, w cost.Weights, seed int64) join.Spec {
+	return join.Spec{Ctx: p.Ctx, MemoryPages: memoryPages, Weights: w, Rng: rand.New(rand.NewSource(seed))}
 }
 
 // Figure6MemoryMB and Figure6Ratios are the sweep axes of Figure 6.
@@ -136,7 +112,7 @@ func RunFigure6(p Params) ([]Row, error) {
 		}
 
 		// Sort-merge: one run; re-weight the counters per ratio.
-		smRep, err := runSortMerge(p.Ctx, r, s, m, p.Audit)
+		smRep, err := runJoin(join.AlgorithmSortMerge, r, s, join.Spec{Ctx: p.Ctx, MemoryPages: m}, p.Audit)
 		if err != nil {
 			return nil, fmt.Errorf("figure 6: sort-merge at %d MB: %w", mb, err)
 		}
@@ -149,7 +125,8 @@ func RunFigure6(p Params) ([]Row, error) {
 
 		// Partition join: the plan depends on the ratio, so run each.
 		for _, ratio := range Figure6Ratios {
-			pjRep, _, err := runPartition(p.Ctx, r, s, m, cost.Ratio(ratio), p.Seed+int64(mb*100)+int64(ratio), p.Audit)
+			pjRep, err := runJoin(join.AlgorithmPartition, r, s,
+				p.joinSpec(m, cost.Ratio(ratio), p.Seed+int64(mb*100)+int64(ratio)), p.Audit)
 			if err != nil {
 				return nil, fmt.Errorf("figure 6: partition join at %d MB %g:1: %w", mb, ratio, err)
 			}
@@ -215,7 +192,7 @@ func RunFigure7(p Params) ([]Row, error) {
 			Algorithm: AlgoNestedLoop, MemoryMB: Figure7MemoryMB, Ratio: Figure7Ratio, LongLived: ll,
 			Cost: join.NestedLoopCost(rPages, sPages, m, w),
 		})
-		smRep, err := runSortMerge(p.Ctx, r, s, m, p.Audit)
+		smRep, err := runJoin(join.AlgorithmSortMerge, r, s, join.Spec{Ctx: p.Ctx, MemoryPages: m}, p.Audit)
 		if err != nil {
 			return nil, fmt.Errorf("figure 7: sort-merge at %d long-lived: %w", ll, err)
 		}
@@ -223,7 +200,7 @@ func RunFigure7(p Params) ([]Row, error) {
 			Algorithm: AlgoSortMerge, MemoryMB: Figure7MemoryMB, Ratio: Figure7Ratio, LongLived: ll,
 			Cost: smRep.Cost(w),
 		})
-		pjRep, _, err := runPartition(p.Ctx, r, s, m, w, p.Seed+int64(ll), p.Audit)
+		pjRep, err := runJoin(join.AlgorithmPartition, r, s, p.joinSpec(m, w, p.Seed+int64(ll)), p.Audit)
 		if err != nil {
 			return nil, fmt.Errorf("figure 7: partition join at %d long-lived: %w", ll, err)
 		}
@@ -270,7 +247,7 @@ func RunFigure8(p Params) ([]Row, error) {
 		}
 		var rows []Row
 		for _, mb := range Figure8MemoryMB {
-			rep, _, err := runPartition(p.Ctx, r, s, p.MemoryPages(mb), w, p.Seed+int64(ll+mb), p.Audit)
+			rep, err := runJoin(join.AlgorithmPartition, r, s, p.joinSpec(p.MemoryPages(mb), w, p.Seed+int64(ll+mb)), p.Audit)
 			if err != nil {
 				return nil, fmt.Errorf("figure 8: %d long-lived at %d MB: %w", ll, mb, err)
 			}

@@ -1,34 +1,13 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
-	"math/rand"
 	"strings"
 	"time"
 
 	"vtjoin/internal/cost"
 	"vtjoin/internal/join"
-	"vtjoin/internal/relation"
 )
-
-// runSortMergeKernel and runPartitionKernel are the kernel-pinned
-// variants of the figure runners.
-func runSortMergeKernel(ctx context.Context, r, s *relation.Relation, memoryPages int, k join.Kernel) (*cost.Report, *join.SortMergeStats, error) {
-	var sink relation.CountSink
-	return join.SortMerge(r, s, &sink, join.SortMergeConfig{Ctx: ctx, MemoryPages: memoryPages, Kernel: k})
-}
-
-func runPartitionKernel(ctx context.Context, r, s *relation.Relation, memoryPages int, w cost.Weights, seed int64, k join.Kernel) (*cost.Report, *join.PartitionStats, error) {
-	var sink relation.CountSink
-	return join.Partition(r, s, &sink, join.PartitionConfig{
-		Ctx:         ctx,
-		MemoryPages: memoryPages,
-		Weights:     w,
-		Rng:         rand.New(rand.NewSource(seed)),
-		Kernel:      k,
-	})
-}
 
 // KernelBenchSpecs are the in-memory matching microbenchmarks of the
 // Scan-versus-Sweep kernel comparison, scaled like the figures. The
@@ -112,25 +91,22 @@ func RunKernelPhases(p Params) ([]AlgoPhaseTiming, error) {
 		if err != nil {
 			return nil, err
 		}
-		smRep, _, err := runSortMergeKernel(p.Ctx, r, s, memoryPages, kernel)
-		if err != nil {
-			return nil, err
-		}
-		for _, ph := range smRep.Phases {
-			perAlgo = append(perAlgo, AlgoPhaseTiming{
-				Algorithm: AlgoSortMerge, Kernel: kernel.String(), Phase: ph.Name,
-				IO: ph.Counters.Total(), Wall: ph.Wall, CPU: ph.CPU,
-			})
-		}
-		pjRep, _, err := runPartitionKernel(p.Ctx, r, s, memoryPages, cost.Ratio(5), p.Seed, kernel)
-		if err != nil {
-			return nil, err
-		}
-		for _, ph := range pjRep.Phases {
-			perAlgo = append(perAlgo, AlgoPhaseTiming{
-				Algorithm: AlgoPartition, Kernel: kernel.String(), Phase: ph.Name,
-				IO: ph.Counters.Total(), Wall: ph.Wall, CPU: ph.CPU,
-			})
+		for _, run := range []struct {
+			name string
+			algo join.Algorithm
+		}{{AlgoSortMerge, join.AlgorithmSortMerge}, {AlgoPartition, join.AlgorithmPartition}} {
+			spec := p.joinSpec(memoryPages, cost.Ratio(5), p.Seed)
+			spec.Kernel = kernel
+			rep, err := runJoin(run.algo, r, s, spec, false)
+			if err != nil {
+				return nil, err
+			}
+			for _, ph := range rep.Phases {
+				perAlgo = append(perAlgo, AlgoPhaseTiming{
+					Algorithm: run.name, Kernel: kernel.String(), Phase: ph.Name,
+					IO: ph.Counters.Total(), Wall: ph.Wall, CPU: ph.CPU,
+				})
+			}
 		}
 		out = append(out, perAlgo...)
 	}

@@ -151,7 +151,7 @@ func RunFigureShards(p Params, maxShards int) ([]ShardRow, error) {
 	var rows []ShardRow
 	var refSink ChecksumSink
 	wallStart, cpuStart := time.Now(), cost.ProcessCPUTime()
-	refRep, _, err := join.Partition(r, s, &refSink, join.PartitionConfig{
+	refRep, err := join.Run(join.AlgorithmPartition, r, s, &refSink, join.Spec{
 		Ctx:         p.Ctx,
 		MemoryPages: memoryPages,
 		Weights:     cost.Ratio(5),
@@ -179,7 +179,7 @@ func RunFigureShards(p Params, maxShards int) ([]ShardRow, error) {
 		}
 		var sink ChecksumSink
 		wallStart, cpuStart := time.Now(), cost.ProcessCPUTime()
-		rep, stats, err := shard.Join(shard.AlgorithmPartition, r, s, &sink, shard.Config{
+		rep, stats, err := shard.Join(join.AlgorithmPartition, r, s, &sink, shard.Config{
 			Ctx: p.Ctx, Shards: k, MemoryPages: memoryPages, Seed: p.Seed + 7,
 		})
 		if err != nil {

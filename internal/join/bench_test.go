@@ -76,7 +76,7 @@ func benchPartition(b *testing.B, sequential bool) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var sink relation.CountSink
-		_, _, err := Partition(r, s, &sink, PartitionConfig{
+		_, _, err := Partition(r, s, &sink, Spec{
 			MemoryPages: 32,
 			Weights:     cost.Ratio(5),
 			Rng:         rand.New(rand.NewSource(4)),

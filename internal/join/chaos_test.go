@@ -34,7 +34,7 @@ import (
 // chaosCombo is one engine configuration under chaos: an algorithm, an
 // execution mode and a matching kernel.
 type chaosCombo struct {
-	algo       string
+	algo       Algorithm
 	sequential bool
 	kernel     Kernel
 }
@@ -44,12 +44,12 @@ func (cc chaosCombo) String() string {
 	if cc.sequential {
 		mode = "sequential"
 	}
-	return fmt.Sprintf("%s/%s/%s", cc.algo, mode, cc.kernel)
+	return fmt.Sprintf("%s/%s/%s", cc.algo.Label(), mode, cc.kernel)
 }
 
 func chaosCombos() []chaosCombo {
 	var out []chaosCombo
-	for _, algo := range []string{"nested-loop", "sort-merge", "partition"} {
+	for _, algo := range []Algorithm{AlgorithmNestedLoop, AlgorithmSortMerge, AlgorithmPartition} {
 		for _, seq := range []bool{false, true} {
 			for _, k := range []Kernel{KernelSweep, KernelScan} {
 				out = append(out, chaosCombo{algo: algo, sequential: seq, kernel: k})
@@ -63,27 +63,11 @@ func chaosCombos() []chaosCombo {
 func runChaos(ctx context.Context, cc chaosCombo, r, s *relation.Relation, tr *trace.Tracer) ([]tuple.Tuple, error) {
 	const memoryPages = 10
 	var sink relation.CollectSink
-	var err error
-	switch cc.algo {
-	case "nested-loop":
-		_, err = NestedLoop(r, s, &sink, NestedLoopConfig{
-			Ctx: ctx, MemoryPages: memoryPages,
-			Sequential: cc.sequential, Kernel: cc.kernel, Tracer: tr,
-		})
-	case "sort-merge":
-		_, _, err = SortMerge(r, s, &sink, SortMergeConfig{
-			Ctx: ctx, MemoryPages: memoryPages,
-			Sequential: cc.sequential, Kernel: cc.kernel, Tracer: tr,
-		})
-	case "partition":
-		_, _, err = Partition(r, s, &sink, PartitionConfig{
-			Ctx: ctx, MemoryPages: memoryPages,
-			Weights: cost.Ratio(5), Rng: rand.New(rand.NewSource(99)),
-			Sequential: cc.sequential, Kernel: cc.kernel, Tracer: tr,
-		})
-	default:
-		panic("unknown algorithm " + cc.algo)
-	}
+	_, err := Run(cc.algo, r, s, &sink, Spec{
+		Ctx: ctx, MemoryPages: memoryPages,
+		Weights: cost.Ratio(5), Rng: rand.New(rand.NewSource(99)),
+		Sequential: cc.sequential, Kernel: cc.kernel, Tracer: tr,
+	})
 	if err != nil {
 		return nil, err
 	}

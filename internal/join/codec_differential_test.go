@@ -46,7 +46,7 @@ func (c codecCell) pageTotal() int64 {
 // runCodecCell loads the workload pair onto a fresh device carrying
 // the given page format and runs one algorithm sequentially (so the
 // per-phase counters are deterministic).
-func runCodecCell(t *testing.T, format page.Format, algo string, kernel Kernel, pred Predicate, rTuples, sTuples []tuple.Tuple) codecCell {
+func runCodecCell(t *testing.T, format page.Format, algo Algorithm, kernel Kernel, pred Predicate, rTuples, sTuples []tuple.Tuple) codecCell {
 	t.Helper()
 	d := disk.New(page.DefaultSize)
 	d.SetPageFormat(format)
@@ -55,28 +55,11 @@ func runCodecCell(t *testing.T, format page.Format, algo string, kernel Kernel, 
 
 	const memoryPages = 8
 	var sink collectSink
-	var rep *cost.Report
-	var err error
-	switch algo {
-	case "nested-loop":
-		rep, err = NestedLoop(r, s, &sink, NestedLoopConfig{
-			MemoryPages: memoryPages, Sequential: true,
-			TimePredicate: pred, Kernel: kernel,
-		})
-	case "sort-merge":
-		rep, _, err = SortMerge(r, s, &sink, SortMergeConfig{
-			MemoryPages: memoryPages, Sequential: true,
-			TimePredicate: pred, Kernel: kernel,
-		})
-	case "partition":
-		rep, _, err = Partition(r, s, &sink, PartitionConfig{
-			MemoryPages: memoryPages, Sequential: true,
-			Weights: cost.Ratio(5), Rng: rand.New(rand.NewSource(77)),
-			TimePredicate: pred, Kernel: kernel,
-		})
-	default:
-		panic("unknown algorithm " + algo)
-	}
+	rep, err := Run(algo, r, s, &sink, Spec{
+		MemoryPages: memoryPages, Sequential: true,
+		Weights: cost.Ratio(5), Rng: rand.New(rand.NewSource(77)),
+		TimePredicate: pred, Kernel: kernel,
+	})
 	if err != nil {
 		t.Fatalf("%s/%s/%s: %v", format, algo, kernel, err)
 	}
@@ -132,10 +115,10 @@ func TestCodecDifferentialMatrix(t *testing.T) {
 	rTuples := w.generate(rng, 1)
 	sTuples := w.generate(rng, 2)
 
-	for _, algo := range []string{"nested-loop", "sort-merge", "partition"} {
+	for _, algo := range Algorithms {
 		for _, kernel := range []Kernel{KernelSweep, KernelScan} {
 			for name, pred := range codecPredicates {
-				t.Run(fmt.Sprintf("%s/%s/%s", algo, kernel, name), func(t *testing.T) {
+				t.Run(fmt.Sprintf("%s/%s/%s", algo.Label(), kernel, name), func(t *testing.T) {
 					v1a := runCodecCell(t, page.FormatV1, algo, kernel, pred, rTuples, sTuples)
 					v1b := runCodecCell(t, page.FormatV1, algo, kernel, pred, rTuples, sTuples)
 					v2 := runCodecCell(t, page.FormatV2, algo, kernel, pred, rTuples, sTuples)

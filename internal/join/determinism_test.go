@@ -10,6 +10,7 @@ import (
 	"vtjoin/internal/page"
 	"vtjoin/internal/relation"
 	"vtjoin/internal/testutil"
+	"vtjoin/internal/tuple"
 )
 
 // tuple2 is a comparable rendering of a result tuple, so result sets
@@ -17,6 +18,33 @@ import (
 type tuple2 struct {
 	repr string
 	v    chronon.Interval
+}
+
+// outcome is one run's device counters and canonical result.
+type outcome struct {
+	counters disk.Counters
+	results  []tuple2
+}
+
+// runOutcome runs algo over freshly loaded inputs with 16 pages, the
+// sampling seed 3 and the rest of spec, and records the outcome.
+func runOutcome(t *testing.T, algo Algorithm, rTuples, sTuples []tuple.Tuple, spec Spec) outcome {
+	t.Helper()
+	d := disk.New(page.DefaultSize)
+	r := load(t, d, empSchema, rTuples)
+	s := load(t, d, deptSchema, sTuples)
+	d.ResetCounters()
+	var sink relation.CollectSink
+	spec.MemoryPages, spec.Weights, spec.Rng = 16, cost.Ratio(5), rand.New(rand.NewSource(3))
+	if _, err := Run(algo, r, s, &sink, spec); err != nil {
+		t.Fatalf("%s sequential=%v kernel=%v: %v", algo, spec.Sequential, spec.Kernel, err)
+	}
+	Canonicalize(sink.Tuples)
+	out := outcome{counters: d.Counters()}
+	for _, z := range sink.Tuples {
+		out.results = append(out.results, tuple2{z.String(), z.V})
+	}
+	return out
 }
 
 // TestConcurrentEngineMatchesSequential is the PR's central invariant:
@@ -33,54 +61,11 @@ func TestConcurrentEngineMatchesSequential(t *testing.T) {
 	rTuples := w.generate(rng, 0)
 	sTuples := w.generate(rng, 1)
 
-	type outcome struct {
-		counters disk.Counters
-		results  []tuple2
-	}
-	run := func(algo string, sequential bool) outcome {
-		t.Helper()
-		d := disk.New(page.DefaultSize)
-		r := load(t, d, empSchema, rTuples)
-		s := load(t, d, deptSchema, sTuples)
-		d.ResetCounters()
-		var sink relation.CollectSink
-		switch algo {
-		case "partition":
-			_, _, err := Partition(r, s, &sink, PartitionConfig{
-				MemoryPages: 16,
-				Weights:     cost.Ratio(5),
-				Rng:         rand.New(rand.NewSource(3)),
-				Sequential:  sequential,
-			})
-			if err != nil {
-				t.Fatalf("%s sequential=%v: %v", algo, sequential, err)
-			}
-		case "nested-loop":
-			_, err := NestedLoop(r, s, &sink, NestedLoopConfig{
-				MemoryPages: 16,
-				Sequential:  sequential,
-			})
-			if err != nil {
-				t.Fatalf("%s sequential=%v: %v", algo, sequential, err)
-			}
-		case "sort-merge":
-			_, _, err := SortMerge(r, s, &sink, SortMergeConfig{
-				MemoryPages: 16,
-				Sequential:  sequential,
-			})
-			if err != nil {
-				t.Fatalf("%s sequential=%v: %v", algo, sequential, err)
-			}
-		}
-		Canonicalize(sink.Tuples)
-		out := outcome{counters: d.Counters()}
-		for _, z := range sink.Tuples {
-			out.results = append(out.results, tuple2{z.String(), z.V})
-		}
-		return out
+	run := func(algo Algorithm, sequential bool) outcome {
+		return runOutcome(t, algo, rTuples, sTuples, Spec{Sequential: sequential})
 	}
 
-	for _, algo := range []string{"partition", "nested-loop", "sort-merge"} {
+	for _, algo := range Algorithms {
 		seq := run(algo, true)
 		for trial := 0; trial < 3; trial++ {
 			conc := run(algo, false)

@@ -13,25 +13,15 @@ import (
 	"vtjoin/internal/tuple"
 )
 
-// runAlgorithm executes one named algorithm over r and s, collecting
-// the result tuples.
-func runAlgorithm(algo string, r, s *relation.Relation, memoryPages int) ([]tuple.Tuple, error) {
+// runAlgorithm executes one algorithm over r and s, collecting the
+// result tuples.
+func runAlgorithm(algo Algorithm, r, s *relation.Relation, memoryPages int) ([]tuple.Tuple, error) {
 	var sink relation.CollectSink
-	var err error
-	switch algo {
-	case "nested-loop":
-		_, err = NestedLoop(r, s, &sink, NestedLoopConfig{MemoryPages: memoryPages})
-	case "sort-merge":
-		_, _, err = SortMerge(r, s, &sink, SortMergeConfig{MemoryPages: memoryPages})
-	case "partition":
-		_, _, err = Partition(r, s, &sink, PartitionConfig{
-			MemoryPages: memoryPages,
-			Weights:     cost.Ratio(5),
-			Rng:         rand.New(rand.NewSource(99)),
-		})
-	default:
-		panic("unknown algorithm " + algo)
-	}
+	_, err := Run(algo, r, s, &sink, Spec{
+		MemoryPages: memoryPages,
+		Weights:     cost.Ratio(5),
+		Rng:         rand.New(rand.NewSource(99)),
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -55,11 +45,12 @@ func TestJoinsSurviveTransientFaults(t *testing.T) {
 	rTuples, sTuples := faultMatrixInputs(7)
 	const memoryPages = 10
 
-	for _, algo := range []string{"nested-loop", "sort-merge", "partition"} {
+	for _, a := range Algorithms {
+		algo := a.Label()
 		t.Run(algo, func(t *testing.T) {
 			// Fault-free baseline.
 			clean := disk.New(page.DefaultSize)
-			want, err := runAlgorithm(algo,
+			want, err := runAlgorithm(a,
 				load(t, clean, empSchema, rTuples),
 				load(t, clean, deptSchema, sTuples), memoryPages)
 			if err != nil {
@@ -81,7 +72,7 @@ func TestJoinsSurviveTransientFaults(t *testing.T) {
 				)
 			}
 			faulty, fs := disk.NewFaulty(page.DefaultSize, plan)
-			got, err := runAlgorithm(algo,
+			got, err := runAlgorithm(a,
 				load(t, faulty, empSchema, rTuples),
 				load(t, faulty, deptSchema, sTuples), memoryPages)
 			if err != nil {
@@ -105,7 +96,8 @@ func TestJoinsFailCleanlyOnPermanentFaults(t *testing.T) {
 	rTuples, sTuples := faultMatrixInputs(8)
 	const memoryPages = 10
 
-	for _, algo := range []string{"nested-loop", "sort-merge", "partition"} {
+	for _, a := range Algorithms {
+		algo := a.Label()
 		t.Run(algo, func(t *testing.T) {
 			// Loading only writes, so a read fault stays dormant until the
 			// join itself touches the device.
@@ -122,7 +114,7 @@ func TestJoinsFailCleanlyOnPermanentFaults(t *testing.T) {
 					t.Fatalf("%s panicked on a permanent fault: %v", algo, p)
 				}
 			}()
-			_, err := runAlgorithm(algo, r, s, memoryPages)
+			_, err := runAlgorithm(a, r, s, memoryPages)
 			if err == nil {
 				t.Fatal("join succeeded over a permanently failing device")
 			}
@@ -141,7 +133,8 @@ func TestJoinsFailCleanlyOnPermanentFaults(t *testing.T) {
 // checksum error carrying the damaged page's coordinates.
 func TestJoinsSurfaceCorruption(t *testing.T) {
 	rTuples, sTuples := faultMatrixInputs(9)
-	for _, algo := range []string{"nested-loop", "sort-merge", "partition"} {
+	for _, a := range Algorithms {
+		algo := a.Label()
 		t.Run(algo, func(t *testing.T) {
 			faulty, _ := disk.NewFaulty(page.DefaultSize, disk.FaultPlan{
 				Seed: 3,
@@ -151,7 +144,7 @@ func TestJoinsSurfaceCorruption(t *testing.T) {
 			})
 			r := load(t, faulty, empSchema, rTuples)
 			s := load(t, faulty, deptSchema, sTuples)
-			_, err := runAlgorithm(algo, r, s, 10)
+			_, err := runAlgorithm(a, r, s, 10)
 			if err == nil {
 				t.Fatal("join read a corrupt page without noticing")
 			}
@@ -178,13 +171,14 @@ func TestJoinsSurviveMidJoinTransientFaults(t *testing.T) {
 	rTuples, sTuples := faultMatrixInputs(14)
 	const memoryPages = 10
 
-	for _, algo := range []string{"nested-loop", "sort-merge", "partition"} {
+	for _, a := range Algorithms {
+		algo := a.Label()
 		t.Run(algo, func(t *testing.T) {
 			clean := disk.New(page.DefaultSize)
 			r := load(t, clean, empSchema, rTuples)
 			s := load(t, clean, deptSchema, sTuples)
 			afterLoad := clean.Counters()
-			want, err := runAlgorithm(algo, r, s, memoryPages)
+			want, err := runAlgorithm(a, r, s, memoryPages)
 			if err != nil {
 				t.Fatalf("fault-free run failed: %v", err)
 			}
@@ -215,7 +209,7 @@ func TestJoinsSurviveMidJoinTransientFaults(t *testing.T) {
 			fr := load(t, faulty, empSchema, rTuples)
 			fsRel := load(t, faulty, deptSchema, sTuples)
 			afterFaultyLoad := faulty.Counters()
-			got, err := runAlgorithm(algo, fr, fsRel, memoryPages)
+			got, err := runAlgorithm(a, fr, fsRel, memoryPages)
 			if err != nil {
 				t.Fatalf("join over mid-join transient faults failed: %v", err)
 			}
@@ -255,7 +249,8 @@ func TestJoinsFailCleanlyOnMidJoinPermanentFaults(t *testing.T) {
 	load(t, probe, deptSchema, sTuples)
 	loadWrites := int(probe.Counters().RandWrites + probe.Counters().SeqWrites)
 
-	for _, algo := range []string{"sort-merge", "partition"} { // nested-loop never writes
+	for _, a := range []Algorithm{AlgorithmSortMerge, AlgorithmPartition} { // nested-loop never writes
+		algo := a.Label()
 		t.Run(algo, func(t *testing.T) {
 			faulty, fs := disk.NewFaulty(page.DefaultSize, disk.FaultPlan{
 				Faults: []disk.Fault{
@@ -268,7 +263,7 @@ func TestJoinsFailCleanlyOnMidJoinPermanentFaults(t *testing.T) {
 			s := load(t, faulty, deptSchema, sTuples)
 			before := faulty.LiveFiles()
 
-			_, err := runAlgorithm(algo, r, s, memoryPages)
+			_, err := runAlgorithm(a, r, s, memoryPages)
 			if err == nil {
 				t.Fatal("join succeeded over a permanently failing device")
 			}

@@ -33,11 +33,12 @@ func TestV2JoinsSurviveTransientFaults(t *testing.T) {
 	rTuples, sTuples := faultMatrixInputs(7)
 	const memoryPages = 10
 
-	for _, algo := range []string{"nested-loop", "sort-merge", "partition"} {
+	for _, a := range Algorithms {
+		algo := a.Label()
 		t.Run(algo, func(t *testing.T) {
 			clean := disk.New(page.DefaultSize)
 			clean.SetPageFormat(page.FormatV2)
-			want, err := runAlgorithm(algo,
+			want, err := runAlgorithm(a,
 				load(t, clean, empSchema, rTuples),
 				load(t, clean, deptSchema, sTuples), memoryPages)
 			if err != nil {
@@ -53,7 +54,7 @@ func TestV2JoinsSurviveTransientFaults(t *testing.T) {
 				)
 			}
 			faulty, fs := newV2Faulty(t, plan)
-			got, err := runAlgorithm(algo,
+			got, err := runAlgorithm(a,
 				load(t, faulty, empSchema, rTuples),
 				load(t, faulty, deptSchema, sTuples), memoryPages)
 			if err != nil {
@@ -78,14 +79,15 @@ func TestV2JoinsSurviveMidJoinTransientFaults(t *testing.T) {
 	rTuples, sTuples := faultMatrixInputs(14)
 	const memoryPages = 10
 
-	for _, algo := range []string{"nested-loop", "sort-merge", "partition"} {
+	for _, a := range Algorithms {
+		algo := a.Label()
 		t.Run(algo, func(t *testing.T) {
 			clean := disk.New(page.DefaultSize)
 			clean.SetPageFormat(page.FormatV2)
 			r := load(t, clean, empSchema, rTuples)
 			s := load(t, clean, deptSchema, sTuples)
 			afterLoad := clean.Counters()
-			want, err := runAlgorithm(algo, r, s, memoryPages)
+			want, err := runAlgorithm(a, r, s, memoryPages)
 			if err != nil {
 				t.Fatalf("fault-free v2 run failed: %v", err)
 			}
@@ -113,7 +115,7 @@ func TestV2JoinsSurviveMidJoinTransientFaults(t *testing.T) {
 			fr := load(t, faulty, empSchema, rTuples)
 			fsRel := load(t, faulty, deptSchema, sTuples)
 			afterFaultyLoad := faulty.Counters()
-			got, err := runAlgorithm(algo, fr, fsRel, memoryPages)
+			got, err := runAlgorithm(a, fr, fsRel, memoryPages)
 			if err != nil {
 				t.Fatalf("v2 join over mid-join transient faults failed: %v", err)
 			}
@@ -139,7 +141,8 @@ func TestV2JoinsSurviveMidJoinTransientFaults(t *testing.T) {
 // the codec ever decodes, exactly as with v1.
 func TestV2JoinsSurfaceCorruption(t *testing.T) {
 	rTuples, sTuples := faultMatrixInputs(9)
-	for _, algo := range []string{"nested-loop", "sort-merge", "partition"} {
+	for _, a := range Algorithms {
+		algo := a.Label()
 		t.Run(algo, func(t *testing.T) {
 			faulty, _ := newV2Faulty(t, disk.FaultPlan{
 				Seed: 3,
@@ -149,7 +152,7 @@ func TestV2JoinsSurfaceCorruption(t *testing.T) {
 			})
 			r := load(t, faulty, empSchema, rTuples)
 			s := load(t, faulty, deptSchema, sTuples)
-			_, err := runAlgorithm(algo, r, s, 10)
+			_, err := runAlgorithm(a, r, s, 10)
 			if err == nil {
 				t.Fatal("join read a corrupt v2 page without noticing")
 			}
@@ -170,7 +173,8 @@ func TestV2JoinsSurfaceCorruption(t *testing.T) {
 // a panic and never a silently wrong result.
 func TestV2TornWriteFailsClosed(t *testing.T) {
 	rTuples, sTuples := faultMatrixInputs(11)
-	for _, algo := range []string{"nested-loop", "sort-merge", "partition"} {
+	for _, a := range Algorithms {
+		algo := a.Label()
 		t.Run(algo, func(t *testing.T) {
 			faulty, fs := newV2Faulty(t, disk.FaultPlan{
 				Faults: []disk.Fault{
@@ -189,7 +193,7 @@ func TestV2TornWriteFailsClosed(t *testing.T) {
 					t.Fatalf("%s panicked on a torn v2 page: %v", algo, p)
 				}
 			}()
-			_, err := runAlgorithm(algo, r, s, 10)
+			_, err := runAlgorithm(a, r, s, 10)
 			if err == nil {
 				t.Fatal("join read a torn v2 page without noticing")
 			}

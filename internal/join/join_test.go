@@ -96,28 +96,15 @@ func runAll(t *testing.T, rTuples, sTuples []tuple.Tuple, memoryPages int, seed 
 		t.Fatal(err)
 	}
 	want := Reference(plan, rTuples, sTuples)
-
-	var nl relation.CollectSink
-	if _, err := NestedLoop(r, s, &nl, NestedLoopConfig{MemoryPages: memoryPages}); err != nil {
-		t.Fatalf("nested loop: %v", err)
+	for _, algo := range Algorithms {
+		var got relation.CollectSink
+		if _, err := Run(algo, r, s, &got, Spec{
+			MemoryPages: memoryPages, Weights: cost.Ratio(5), Rng: rand.New(rand.NewSource(seed)),
+		}); err != nil {
+			t.Fatalf("%s: %v", algo.Label(), err)
+		}
+		assertSameResult(t, algo.Label(), got.Tuples, want)
 	}
-	assertSameResult(t, "nested-loop", nl.Tuples, want)
-
-	var sm relation.CollectSink
-	if _, _, err := SortMerge(r, s, &sm, SortMergeConfig{MemoryPages: memoryPages}); err != nil {
-		t.Fatalf("sort-merge: %v", err)
-	}
-	assertSameResult(t, "sort-merge", sm.Tuples, want)
-
-	var pj relation.CollectSink
-	if _, _, err := Partition(r, s, &pj, PartitionConfig{
-		MemoryPages: memoryPages,
-		Weights:     cost.Ratio(5),
-		Rng:         rand.New(rand.NewSource(seed)),
-	}); err != nil {
-		t.Fatalf("partition: %v", err)
-	}
-	assertSameResult(t, "partition", pj.Tuples, want)
 }
 
 func TestAllAlgorithmsMatchOracleSmall(t *testing.T) {
@@ -265,7 +252,7 @@ func TestJoinsRejectMismatchedDevices(t *testing.T) {
 	r := relation.Create(d1, empSchema)
 	s := relation.Create(d2, deptSchema)
 	var sink relation.CountSink
-	if _, err := NestedLoop(r, s, &sink, NestedLoopConfig{MemoryPages: 5}); err == nil {
+	if _, err := NestedLoop(r, s, &sink, Spec{MemoryPages: 5}); err == nil {
 		t.Fatal("cross-device join accepted")
 	}
 }
@@ -275,16 +262,16 @@ func TestJoinsValidateMemory(t *testing.T) {
 	r := relation.Create(d, empSchema)
 	s := relation.Create(d, deptSchema)
 	var sink relation.CountSink
-	if _, err := NestedLoop(r, s, &sink, NestedLoopConfig{MemoryPages: 2}); err == nil {
+	if _, err := NestedLoop(r, s, &sink, Spec{MemoryPages: 2}); err == nil {
 		t.Fatal("nested loop accepted 2 pages")
 	}
-	if _, _, err := SortMerge(r, s, &sink, SortMergeConfig{MemoryPages: 3}); err == nil {
+	if _, _, err := SortMerge(r, s, &sink, Spec{MemoryPages: 3}); err == nil {
 		t.Fatal("sort-merge accepted 3 pages")
 	}
-	if _, _, err := Partition(r, s, &sink, PartitionConfig{MemoryPages: 3}); err == nil {
+	if _, _, err := Partition(r, s, &sink, Spec{MemoryPages: 3}); err == nil {
 		t.Fatal("partition join accepted 3 pages")
 	}
-	if _, _, err := Partition(r, s, &sink, PartitionConfig{MemoryPages: 8}); err == nil {
+	if _, _, err := Partition(r, s, &sink, Spec{MemoryPages: 8}); err == nil {
 		t.Fatal("partition join accepted nil rng without partitioning")
 	}
 }

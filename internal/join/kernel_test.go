@@ -6,10 +6,6 @@ import (
 	"testing"
 
 	"vtjoin/internal/chronon"
-	"vtjoin/internal/cost"
-	"vtjoin/internal/disk"
-	"vtjoin/internal/page"
-	"vtjoin/internal/relation"
 	"vtjoin/internal/schema"
 	"vtjoin/internal/tuple"
 	"vtjoin/internal/value"
@@ -148,54 +144,11 @@ func TestKernelsIdenticalResultsAndIO(t *testing.T) {
 	rTuples := w.generate(rng, 0)
 	sTuples := w.generate(rng, 1)
 
-	type outcome struct {
-		counters disk.Counters
-		results  []tuple2
-	}
-	run := func(algo string, k Kernel) outcome {
-		t.Helper()
-		d := disk.New(page.DefaultSize)
-		r := load(t, d, empSchema, rTuples)
-		s := load(t, d, deptSchema, sTuples)
-		d.ResetCounters()
-		var sink relation.CollectSink
-		switch algo {
-		case "partition":
-			_, _, err := Partition(r, s, &sink, PartitionConfig{
-				MemoryPages: 16,
-				Weights:     cost.Ratio(5),
-				Rng:         rand.New(rand.NewSource(3)),
-				Kernel:      k,
-			})
-			if err != nil {
-				t.Fatalf("%s kernel=%v: %v", algo, k, err)
-			}
-		case "nested-loop":
-			_, err := NestedLoop(r, s, &sink, NestedLoopConfig{
-				MemoryPages: 16,
-				Kernel:      k,
-			})
-			if err != nil {
-				t.Fatalf("%s kernel=%v: %v", algo, k, err)
-			}
-		case "sort-merge":
-			_, _, err := SortMerge(r, s, &sink, SortMergeConfig{
-				MemoryPages: 16,
-				Kernel:      k,
-			})
-			if err != nil {
-				t.Fatalf("%s kernel=%v: %v", algo, k, err)
-			}
-		}
-		Canonicalize(sink.Tuples)
-		out := outcome{counters: d.Counters()}
-		for _, z := range sink.Tuples {
-			out.results = append(out.results, tuple2{z.String(), z.V})
-		}
-		return out
+	run := func(algo Algorithm, k Kernel) outcome {
+		return runOutcome(t, algo, rTuples, sTuples, Spec{Kernel: k})
 	}
 
-	for _, algo := range []string{"partition", "nested-loop", "sort-merge"} {
+	for _, algo := range Algorithms {
 		scan := run(algo, KernelScan)
 		sweep := run(algo, KernelSweep)
 		if sweep.counters != scan.counters {

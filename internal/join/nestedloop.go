@@ -1,7 +1,6 @@
 package join
 
 import (
-	"context"
 	"fmt"
 	"math"
 
@@ -11,65 +10,19 @@ import (
 	"vtjoin/internal/page"
 	"vtjoin/internal/prefetch"
 	"vtjoin/internal/relation"
-	"vtjoin/internal/schema"
-	"vtjoin/internal/trace"
 	"vtjoin/internal/tuple"
 )
-
-// NestedLoopConfig configures the block nested-loop join.
-type NestedLoopConfig struct {
-	// Ctx cancels the join cooperatively: it is checked per outer block
-	// and per streamed page, aborting with an error wrapping ctx.Err().
-	// Nil means never cancelled.
-	Ctx context.Context
-	// MemoryPages is the total buffer allocation M. The outer relation
-	// is processed in blocks of M-2 pages; one page buffers the inner
-	// relation scan and one the result.
-	MemoryPages int
-	// TimePredicate restricts matches to pairs whose timestamps stand
-	// in the given Allen relations (zero = intersecting intervals, the
-	// natural join). Must imply intersection.
-	TimePredicate Predicate
-	// LeftFragments, when non-nil, additionally emits the left outer
-	// join's null-padded unmatched fragments: each outer block sees the
-	// whole inner relation, so per-tuple coverage is complete when the
-	// block retires.
-	LeftFragments relation.Sink
-	// Plan overrides the derived natural-join plan; used to evaluate
-	// with swapped inputs while keeping the original output layout
-	// (right outer joins via schema.JoinPlan.Swap). Nil derives the
-	// plan from the relation schemas.
-	Plan *schema.JoinPlan
-	// Sequential disables the page-prefetch pipeline, reading every
-	// page inline on the evaluating goroutine. Counters and results are
-	// byte-identical either way; the switch exists for determinism
-	// tests and order-sensitive fault plans.
-	Sequential bool
-	// Kernel selects the in-memory matching kernel (default: sweep).
-	// Results and I/O counters are identical across kernels.
-	Kernel Kernel
-	// Tracer, when non-nil, records a span per outer block plus the
-	// kernel-guard decision counts. Tracing does not change results or
-	// counters.
-	Tracer *trace.Tracer
-}
 
 // NestedLoop evaluates r ⋈V s by block nested loops: each block of
 // M-2 outer pages is loaded and the inner relation is scanned once per
 // block. Its measured I/O equals NestedLoopCost exactly (a property
 // the tests assert), which is how the paper produced its analytical
 // nested-loop numbers.
-func NestedLoop(r, s *relation.Relation, sink relation.Sink, cfg NestedLoopConfig) (*cost.Report, error) {
+func NestedLoop(r, s *relation.Relation, sink relation.Sink, cfg Spec) (*cost.Report, error) {
 	if cfg.MemoryPages < 3 {
 		return nil, fmt.Errorf("join: nested loop needs at least 3 buffer pages, got %d", cfg.MemoryPages)
 	}
-	plan := cfg.Plan
-	var err error
-	if plan == nil {
-		plan, err = planFor(r, s)
-	} else if r.Disk() != s.Disk() {
-		err = fmt.Errorf("join: input relations live on different devices")
-	}
+	plan, err := specPlan(r, s, cfg)
 	if err != nil {
 		return nil, err
 	}

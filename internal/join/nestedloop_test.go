@@ -33,7 +33,7 @@ func TestNestedLoopMeasuredEqualsAnalytical(t *testing.T) {
 
 		d.ResetCounters()
 		var sink relation.CountSink
-		rep, err := NestedLoop(r, s, &sink, NestedLoopConfig{MemoryPages: c.memory})
+		rep, err := NestedLoop(r, s, &sink, Spec{MemoryPages: c.memory})
 		if err != nil {
 			t.Fatal(err)
 		}

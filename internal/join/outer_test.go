@@ -59,24 +59,17 @@ func runLeftOuter(t *testing.T, algo string, rT, sT []tuple.Tuple, memory int, s
 	d := disk.New(page.DefaultSize)
 	r := load(t, d, empSchema, rT)
 	s := load(t, d, deptSchema, sT)
-	var matches, frags relation.CollectSink
-	var err error
-	switch algo {
-	case "partition":
-		_, _, err = Partition(r, s, &matches, PartitionConfig{
-			MemoryPages:   memory,
-			Weights:       cost.Ratio(5),
-			Rng:           rand.New(rand.NewSource(seed)),
-			LeftFragments: &frags,
-		})
-	case "nestedloop":
-		_, err = NestedLoop(r, s, &matches, NestedLoopConfig{
-			MemoryPages:   memory,
-			LeftFragments: &frags,
-		})
-	default:
-		t.Fatalf("unknown algo %q", algo)
+	a, err := ParseAlgorithm(algo)
+	if err != nil {
+		t.Fatal(err)
 	}
+	var matches, frags relation.CollectSink
+	_, err = Run(a, r, s, &matches, Spec{
+		MemoryPages:   memory,
+		Weights:       cost.Ratio(5),
+		Rng:           rand.New(rand.NewSource(seed)),
+		LeftFragments: &frags,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +154,7 @@ func TestLeftOuterFragmentsPartitionBoundaries(t *testing.T) {
 		t.Fatal(err)
 	}
 	var matches, frags relation.CollectSink
-	if _, _, err := Partition(r, s, &matches, PartitionConfig{
+	if _, _, err := Partition(r, s, &matches, Spec{
 		MemoryPages:   6,
 		Partitioning:  &parting,
 		LeftFragments: &frags,
@@ -188,7 +181,7 @@ func TestLeftOuterUnderPredicate(t *testing.T) {
 	r := load(t, d, empSchema, rT)
 	s := load(t, d, deptSchema, sT)
 	var matches, frags relation.CollectSink
-	if _, _, err := Partition(r, s, &matches, PartitionConfig{
+	if _, _, err := Partition(r, s, &matches, Spec{
 		MemoryPages:   6,
 		Weights:       cost.Ratio(5),
 		Rng:           rand.New(rand.NewSource(14)),

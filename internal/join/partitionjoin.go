@@ -3,7 +3,6 @@ package join
 import (
 	"context"
 	"fmt"
-	"math/rand"
 
 	"vtjoin/internal/buffer"
 	"vtjoin/internal/chronon"
@@ -18,68 +17,6 @@ import (
 	"vtjoin/internal/trace"
 	"vtjoin/internal/tuple"
 )
-
-// PartitionConfig configures the valid-time partition join.
-type PartitionConfig struct {
-	// Ctx cancels the join cooperatively: every phase checks it at
-	// page-granularity boundaries (per sampled candidate, per Grace
-	// input page, per partition and per streamed page during
-	// evaluation) and aborts with an error wrapping ctx.Err(). All
-	// partition, cache-spill and scratch files are removed on abort.
-	// Nil means never cancelled.
-	Ctx context.Context
-	// MemoryPages is the total buffer allocation M. Per Figure 3,
-	// M-3 pages hold the outer-relation partition and one page each
-	// buffers the inner relation, the tuple cache, and the result.
-	MemoryPages int
-	// Weights is the random:sequential cost model used when choosing
-	// partitioning intervals (it does not change what I/O is counted,
-	// only which plan is selected).
-	Weights cost.Weights
-	// Rng drives sampling. Required unless Partitioning is set.
-	Rng *rand.Rand
-	// CandidateStep is passed to partition.DeterminePartIntervals.
-	CandidateStep int
-	// Partitioning, if non-nil, skips determinePartIntervals and uses
-	// the given partitioning directly (used by incremental evaluation
-	// and by tests exercising adversarial partitionings).
-	Partitioning *partition.Partitioning
-	// TimePredicate restricts matches to pairs whose timestamps stand
-	// in the given Allen relations (zero = intersecting intervals).
-	// Must imply intersection: partitioned evaluation relies on
-	// matching pairs co-existing in some partition.
-	TimePredicate Predicate
-	// LeftFragments, when non-nil, turns the evaluation into the match
-	// phase of a valid-time LEFT OUTER join: for every left (outer)
-	// tuple, the maximal sub-intervals of its timestamp not covered by
-	// any match are emitted to this sink as null-padded tuples. The
-	// outer area tracks per-tuple coverage while the tuple is resident,
-	// which is exactly until every partition it overlaps has been
-	// joined — so coverage is complete when the tuple retires.
-	LeftFragments relation.Sink
-	// Plan overrides the derived natural-join plan; used to evaluate
-	// with swapped inputs while keeping the original output layout
-	// (right outer joins via schema.JoinPlan.Swap). Nil derives the
-	// plan from the relation schemas.
-	Plan *schema.JoinPlan
-	// Sequential disables the engine's concurrency (the parallel Grace
-	// passes and the page-prefetch pipeline), running exactly the
-	// paper's single-threaded evaluation. Counters and results are
-	// byte-identical either way — the determinism tests assert it — so
-	// the switch exists for those tests and for fault plans whose
-	// count-based triggers depend on the global operation order.
-	Sequential bool
-	// Kernel selects the in-memory matching kernel (default: sweep).
-	// Results and I/O counters are identical across kernels.
-	Kernel Kernel
-	// Tracer, when non-nil, records per-phase and per-partition spans,
-	// the planner's candidate cost curve, tuple-cache volumes and
-	// kernel-guard decisions, and (with trace.Options.Audit) runs the
-	// invariant audits: partition coverage, partitioning structure,
-	// buffer-budget balance and cache paging symmetry. Tracing does not
-	// change results or counters.
-	Tracer *trace.Tracer
-}
 
 // PartitionStats describes one partition-join execution.
 type PartitionStats struct {
@@ -105,17 +42,11 @@ type PartitionStats struct {
 // Unlike the replication strategy of Leung & Muntz, no tuple is ever
 // stored twice; and each result pair is emitted exactly once (pairs are
 // joined only in the last partition both tuples overlap).
-func Partition(r, s *relation.Relation, sink relation.Sink, cfg PartitionConfig) (*cost.Report, *PartitionStats, error) {
+func Partition(r, s *relation.Relation, sink relation.Sink, cfg Spec) (*cost.Report, *PartitionStats, error) {
 	if cfg.MemoryPages < 4 {
 		return nil, nil, fmt.Errorf("join: partition join needs at least 4 buffer pages, got %d", cfg.MemoryPages)
 	}
-	plan := cfg.Plan
-	var err error
-	if plan == nil {
-		plan, err = planFor(r, s)
-	} else if r.Disk() != s.Disk() {
-		err = fmt.Errorf("join: input relations live on different devices")
-	}
+	plan, err := specPlan(r, s, cfg)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -139,15 +70,14 @@ func Partition(r, s *relation.Relation, sink relation.Sink, cfg PartitionConfig)
 		tr.SetAttr("preset", true)
 	} else {
 		if cfg.Rng == nil {
-			return nil, nil, fmt.Errorf("join: PartitionConfig.Rng is required when no partitioning is given")
+			return nil, nil, fmt.Errorf("join: Spec.Rng is required when no partitioning is given")
 		}
 		plan, _, err := partition.DeterminePartIntervals(r, partition.PlanConfig{
-			Ctx:           cfg.Ctx,
-			BuffSize:      buffSize,
-			Weights:       cfg.Weights,
-			Rng:           cfg.Rng,
-			CandidateStep: cfg.CandidateStep,
-			Tracer:        tr,
+			Ctx:      cfg.Ctx,
+			BuffSize: buffSize,
+			Weights:  cfg.Weights,
+			Rng:      cfg.Rng,
+			Tracer:   tr,
 		})
 		if err != nil {
 			return nil, nil, err

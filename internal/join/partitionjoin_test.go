@@ -36,7 +36,7 @@ func TestPartitionJoinNoDuplicatesWithLongLived(t *testing.T) {
 		t.Fatal(err)
 	}
 	var sink relation.CollectSink
-	if _, _, err := Partition(rr, ss, &sink, PartitionConfig{
+	if _, _, err := Partition(rr, ss, &sink, Spec{
 		MemoryPages:  8,
 		Partitioning: &parting,
 	}); err != nil {
@@ -92,7 +92,7 @@ func TestPartitionJoinExplicitPartitioningMatchesOracle(t *testing.T) {
 		rr := load(t, d, empSchema, rT)
 		ss := load(t, d, deptSchema, sT)
 		var sink relation.CollectSink
-		if _, _, err := Partition(rr, ss, &sink, PartitionConfig{
+		if _, _, err := Partition(rr, ss, &sink, Spec{
 			MemoryPages:  6,
 			Partitioning: &parting,
 		}); err != nil {
@@ -110,7 +110,7 @@ func TestPartitionJoinPhases(t *testing.T) {
 	ss := load(t, d, deptSchema, w.generate(rng, 2))
 	d.ResetCounters()
 	var sink relation.CountSink
-	rep, stats, err := Partition(rr, ss, &sink, PartitionConfig{
+	rep, stats, err := Partition(rr, ss, &sink, Spec{
 		MemoryPages: 10,
 		Weights:     cost.Ratio(5),
 		Rng:         rand.New(rand.NewSource(1)),
@@ -176,7 +176,7 @@ func TestPartitionJoinCacheTraffic(t *testing.T) {
 			t.Fatal(err)
 		}
 		var sink relation.CountSink
-		_, stats, err := Partition(rr, ss, &sink, PartitionConfig{
+		_, stats, err := Partition(rr, ss, &sink, Spec{
 			MemoryPages: 12,
 			Weights:     cost.Ratio(5),
 			Rng:         rand.New(rand.NewSource(2)),
@@ -213,7 +213,7 @@ func TestPartitionJoinOverflowIsCorrectButCharged(t *testing.T) {
 	ss := load(t, d, deptSchema, sT)
 	single := partition.Single()
 	var sink relation.CollectSink
-	_, stats, err := Partition(rr, ss, &sink, PartitionConfig{
+	_, stats, err := Partition(rr, ss, &sink, Spec{
 		MemoryPages:  4, // buffSize = 1 page for a 30+ page partition
 		Partitioning: &single,
 	})
@@ -263,7 +263,7 @@ func TestPartitionJoinBudgetInvariant(t *testing.T) {
 	ss := load(t, d, deptSchema, w.generate(rng, 2))
 	for _, m := range []int{4, 5, 8, 64} {
 		var sink relation.CountSink
-		if _, _, err := Partition(rr, ss, &sink, PartitionConfig{
+		if _, _, err := Partition(rr, ss, &sink, Spec{
 			MemoryPages: m,
 			Weights:     cost.Ratio(5),
 			Rng:         rand.New(rand.NewSource(4)),

@@ -19,16 +19,12 @@ func TestPredicateValidation(t *testing.T) {
 	s := relation.Create(d, deptSchema)
 	var sink relation.CountSink
 	bad := chronon.MaskOf(chronon.RelBefore)
-	if _, err := NestedLoop(r, s, &sink, NestedLoopConfig{MemoryPages: 5, TimePredicate: bad}); err == nil {
-		t.Fatal("nested loop accepted a non-intersecting predicate")
-	}
-	if _, _, err := SortMerge(r, s, &sink, SortMergeConfig{MemoryPages: 5, TimePredicate: bad}); err == nil {
-		t.Fatal("sort-merge accepted a non-intersecting predicate")
-	}
-	if _, _, err := Partition(r, s, &sink, PartitionConfig{
-		MemoryPages: 5, Weights: cost.Ratio(5), Rng: rand.New(rand.NewSource(1)), TimePredicate: bad,
-	}); err == nil {
-		t.Fatal("partition accepted a non-intersecting predicate")
+	for _, algo := range Algorithms {
+		if _, err := Run(algo, r, s, &sink, Spec{
+			MemoryPages: 5, Weights: cost.Ratio(5), Rng: rand.New(rand.NewSource(1)), TimePredicate: bad,
+		}); err == nil {
+			t.Fatalf("%s accepted a non-intersecting predicate", algo.Label())
+		}
 	}
 }
 
@@ -55,22 +51,16 @@ func TestAllAlgorithmsAgreeUnderPredicates(t *testing.T) {
 			r := load(t, d, empSchema, rT)
 			s := load(t, d, deptSchema, sT)
 
-			var nl, sm, pj relation.CollectSink
-			if _, err := NestedLoop(r, s, &nl, NestedLoopConfig{MemoryPages: 6, TimePredicate: pred}); err != nil {
-				t.Fatal(err)
+			for _, algo := range Algorithms {
+				var got relation.CollectSink
+				if _, err := Run(algo, r, s, &got, Spec{
+					MemoryPages: 6, Weights: cost.Ratio(5),
+					Rng: rand.New(rand.NewSource(9)), TimePredicate: pred,
+				}); err != nil {
+					t.Fatal(err)
+				}
+				assertSameResult(t, algo.Label()+"/"+name, got.Tuples, want)
 			}
-			assertSameResult(t, "nested-loop/"+name, nl.Tuples, want)
-			if _, _, err := SortMerge(r, s, &sm, SortMergeConfig{MemoryPages: 6, TimePredicate: pred}); err != nil {
-				t.Fatal(err)
-			}
-			assertSameResult(t, "sort-merge/"+name, sm.Tuples, want)
-			if _, _, err := Partition(r, s, &pj, PartitionConfig{
-				MemoryPages: 6, Weights: cost.Ratio(5),
-				Rng: rand.New(rand.NewSource(9)), TimePredicate: pred,
-			}); err != nil {
-				t.Fatal(err)
-			}
-			assertSameResult(t, "partition/"+name, pj.Tuples, want)
 		})
 	}
 }

@@ -14,42 +14,8 @@ import (
 	"vtjoin/internal/prefetch"
 	"vtjoin/internal/relation"
 	"vtjoin/internal/schema"
-	"vtjoin/internal/trace"
 	"vtjoin/internal/tuple"
 )
-
-// SortMergeConfig configures the sort-merge valid-time join.
-type SortMergeConfig struct {
-	// Ctx cancels the join cooperatively: both external sorts and the
-	// merge check it at page-granularity boundaries and abort with an
-	// error wrapping ctx.Err(). Sorted temporaries and spill files are
-	// removed on abort. Nil means never cancelled.
-	Ctx context.Context
-	// MemoryPages is the total buffer allocation M: both relations are
-	// externally sorted with M pages; the merge keeps one page per
-	// input cursor, one result page and one spill-probe page, and
-	// devotes the remainder to the live-tuple windows. Tuples that
-	// outlive the windows spill to disk and are re-probed page by page
-	// — the "backing up" of Section 4.3.
-	MemoryPages int
-	// TimePredicate restricts matches to pairs whose timestamps stand
-	// in the given Allen relations (zero = intersecting intervals).
-	// Must imply intersection.
-	TimePredicate Predicate
-	// Sequential disables the run-formation prefetch pipeline inside
-	// the two external sorts. Counters and results are byte-identical
-	// either way; the switch exists for determinism tests and
-	// order-sensitive fault plans.
-	Sequential bool
-	// Kernel selects the in-memory matching kernel (default: sweep).
-	// Results and I/O counters are identical across kernels.
-	Kernel Kernel
-	// Tracer, when non-nil, records per-phase spans (both sorts with
-	// their run-formation and merge passes, plus the merge) and the
-	// merge-phase statistics. Tracing does not change results or
-	// counters.
-	Tracer *trace.Tracer
-}
 
 // SortMergeStats reports merge-phase behaviour: how much backing up
 // the long-lived tuples forced.
@@ -72,7 +38,10 @@ type SortMergeStats struct {
 // processed data, the backing up of Section 4.3. The inputs are not
 // assumed sorted and no access paths exist (the weakest assumptions of
 // Section 4.1), so both sorts are charged to the join.
-func SortMerge(r, s *relation.Relation, sink relation.Sink, cfg SortMergeConfig) (*cost.Report, *SortMergeStats, error) {
+func SortMerge(r, s *relation.Relation, sink relation.Sink, cfg Spec) (*cost.Report, *SortMergeStats, error) {
+	if cfg.LeftFragments != nil || cfg.Plan != nil {
+		return nil, nil, fmt.Errorf("join: outer joins are not supported by sort-merge (its spill files cannot carry match coverage); use partition or nested-loop")
+	}
 	if cfg.MemoryPages < 4 {
 		return nil, nil, fmt.Errorf("join: sort-merge needs at least 4 buffer pages, got %d", cfg.MemoryPages)
 	}

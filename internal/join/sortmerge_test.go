@@ -25,7 +25,7 @@ func TestSortMergeNoBackupWithoutLongLived(t *testing.T) {
 	rr := load(t, d, empSchema, r)
 	ss := load(t, d, deptSchema, s)
 	var sink relation.CountSink
-	_, stats, err := SortMerge(rr, ss, &sink, SortMergeConfig{MemoryPages: 8})
+	_, stats, err := SortMerge(rr, ss, &sink, Spec{MemoryPages: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestSortMergeBacksUpOverLongLived(t *testing.T) {
 	rr := load(t, d, empSchema, r)
 	ss := load(t, d, deptSchema, s)
 	var sink relation.CountSink
-	_, stats, err := SortMerge(rr, ss, &sink, SortMergeConfig{MemoryPages: 8})
+	_, stats, err := SortMerge(rr, ss, &sink, Spec{MemoryPages: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestSortMergeBackupGrowsWithLongLivedDensity(t *testing.T) {
 		rr := load(t, d, empSchema, w.generate(rng, 1))
 		ss := load(t, d, deptSchema, w.generate(rng, 2))
 		var sink relation.CountSink
-		_, stats, err := SortMerge(rr, ss, &sink, SortMergeConfig{MemoryPages: 10})
+		_, stats, err := SortMerge(rr, ss, &sink, Spec{MemoryPages: 10})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -103,7 +103,7 @@ func TestSortMergeMoreMemoryNoBackup(t *testing.T) {
 	rr := load(t, d, empSchema, w.generate(rng, 1))
 	ss := load(t, d, deptSchema, w.generate(rng, 2))
 	var sink relation.CountSink
-	_, stats, err := SortMerge(rr, ss, &sink, SortMergeConfig{MemoryPages: mustPages(t, ss) + 4})
+	_, stats, err := SortMerge(rr, ss, &sink, Spec{MemoryPages: mustPages(t, ss) + 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestSortMergePhases(t *testing.T) {
 	rr := load(t, d, empSchema, w.generate(rng, 1))
 	ss := load(t, d, deptSchema, w.generate(rng, 2))
 	var sink relation.CountSink
-	rep, _, err := SortMerge(rr, ss, &sink, SortMergeConfig{MemoryPages: 6})
+	rep, _, err := SortMerge(rr, ss, &sink, Spec{MemoryPages: 6})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,36 +28,18 @@ func tracePair(t *testing.T) (*disk.Disk, *relation.Relation, *relation.Relation
 // the result tuples, the device movement during the run, and the
 // finished root span. Audit is always on: any attribution or invariant
 // violation fails the test through the returned error.
-func runTraced(t *testing.T, algo string, sequential bool, tr *trace.Tracer,
+func runTraced(t *testing.T, algo Algorithm, sequential bool, tr *trace.Tracer,
 	d *disk.Disk, r, s *relation.Relation) (relation.CollectSink, disk.Counters) {
 	t.Helper()
 	var sink relation.CollectSink
 	before := d.Counters()
-	var err error
-	switch algo {
-	case "partition":
-		_, _, err = Partition(r, s, &sink, PartitionConfig{
-			MemoryPages: 32,
-			Weights:     cost.Ratio(5),
-			Rng:         rand.New(rand.NewSource(7)),
-			Sequential:  sequential,
-			Tracer:      tr,
-		})
-	case "sort-merge":
-		_, _, err = SortMerge(r, s, &sink, SortMergeConfig{
-			MemoryPages: 32,
-			Sequential:  sequential,
-			Tracer:      tr,
-		})
-	case "nested-loop":
-		_, err = NestedLoop(r, s, &sink, NestedLoopConfig{
-			MemoryPages: 32,
-			Sequential:  sequential,
-			Tracer:      tr,
-		})
-	default:
-		t.Fatalf("unknown algorithm %q", algo)
-	}
+	_, err := Run(algo, r, s, &sink, Spec{
+		MemoryPages: 32,
+		Weights:     cost.Ratio(5),
+		Rng:         rand.New(rand.NewSource(7)),
+		Sequential:  sequential,
+		Tracer:      tr,
+	})
 	if err != nil {
 		t.Fatalf("%s (sequential=%v): %v", algo, sequential, err)
 	}
@@ -71,12 +53,13 @@ func runTraced(t *testing.T, algo string, sequential bool, tr *trace.Tracer,
 // the in-process audits (partition coverage, buffer balance, cache
 // paging symmetry) hold.
 func TestTraceCountersSumExactly(t *testing.T) {
-	for _, algo := range []string{"partition", "sort-merge", "nested-loop"} {
+	for _, a := range Algorithms {
+		algo := a.Label()
 		for _, sequential := range []bool{true, false} {
 			t.Run(algo, func(t *testing.T) {
 				d, r, s := tracePair(t)
 				tr := trace.New(d, algo, trace.Options{Audit: true})
-				_, moved := runTraced(t, algo, sequential, tr, d, r, s)
+				_, moved := runTraced(t, a, sequential, tr, d, r, s)
 				root, err := tr.Finish()
 				if err != nil {
 					t.Fatalf("audit violations (sequential=%v): %v", sequential, err)
@@ -95,14 +78,15 @@ func TestTraceCountersSumExactly(t *testing.T) {
 // TestTracingChangesNothing: the same join run with and without a
 // tracer produces identical result tuples and identical I/O counters.
 func TestTracingChangesNothing(t *testing.T) {
-	for _, algo := range []string{"partition", "sort-merge", "nested-loop"} {
+	for _, a := range Algorithms {
+		algo := a.Label()
 		t.Run(algo, func(t *testing.T) {
 			dPlain, rPlain, sPlain := tracePair(t)
-			plain, plainIO := runTraced(t, algo, false, nil, dPlain, rPlain, sPlain)
+			plain, plainIO := runTraced(t, a, false, nil, dPlain, rPlain, sPlain)
 
 			dTraced, rTraced, sTraced := tracePair(t)
 			tr := trace.New(dTraced, algo, trace.Options{Audit: true})
-			traced, tracedIO := runTraced(t, algo, false, tr, dTraced, rTraced, sTraced)
+			traced, tracedIO := runTraced(t, a, false, tr, dTraced, rTraced, sTraced)
 			if _, err := tr.Finish(); err != nil {
 				t.Fatal(err)
 			}
@@ -121,7 +105,7 @@ func TestTracingChangesNothing(t *testing.T) {
 func TestTraceSpanStructure(t *testing.T) {
 	d, r, s := tracePair(t)
 	tr := trace.New(d, "partition", trace.Options{Audit: true})
-	runTraced(t, "partition", false, tr, d, r, s)
+	runTraced(t, AlgorithmPartition, false, tr, d, r, s)
 	root, err := tr.Finish()
 	if err != nil {
 		t.Fatal(err)
@@ -142,7 +126,7 @@ func TestTraceSpanStructure(t *testing.T) {
 
 	d2, r2, s2 := tracePair(t)
 	tr = trace.New(d2, "sort-merge", trace.Options{Audit: true})
-	runTraced(t, "sort-merge", false, tr, d2, r2, s2)
+	runTraced(t, AlgorithmSortMerge, false, tr, d2, r2, s2)
 	root, err = tr.Finish()
 	if err != nil {
 		t.Fatal(err)
@@ -156,7 +140,7 @@ func TestTraceSpanStructure(t *testing.T) {
 
 	d3, r3, s3 := tracePair(t)
 	tr = trace.New(d3, "nested-loop", trace.Options{Audit: true})
-	runTraced(t, "nested-loop", false, tr, d3, r3, s3)
+	runTraced(t, AlgorithmNestedLoop, false, tr, d3, r3, s3)
 	root, err = tr.Finish()
 	if err != nil {
 		t.Fatal(err)

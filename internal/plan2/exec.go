@@ -214,18 +214,7 @@ func dispatchJoin(ctx context.Context, cfg Config, n *JoinNode, left, right *rel
 		memory = n.Memory
 	}
 	if n.Shards > 1 {
-		var salgo shard.Algorithm
-		switch n.Algorithm {
-		case AlgoPartition:
-			salgo = shard.AlgorithmPartition
-		case AlgoSortMerge:
-			salgo = shard.AlgorithmSortMerge
-		case AlgoNestedLoop:
-			salgo = shard.AlgorithmNestedLoop
-		default:
-			return fmt.Errorf("plan2: unknown algorithm %d", n.Algorithm)
-		}
-		_, _, err := shard.Join(salgo, left, right, sink, shard.Config{
+		_, _, err := shard.Join(n.Algorithm, left, right, sink, shard.Config{
 			Ctx:           ctx,
 			Shards:        n.Shards,
 			MemoryPages:   memory,
@@ -237,38 +226,16 @@ func dispatchJoin(ctx context.Context, cfg Config, n *JoinNode, left, right *rel
 		})
 		return err
 	}
-	switch n.Algorithm {
-	case AlgoPartition:
-		_, _, err := join.Partition(left, right, sink, join.PartitionConfig{
-			Ctx:           ctx,
-			MemoryPages:   memory,
-			Weights:       cost.Ratio(cfg.RandomCost),
-			Rng:           rand.New(rand.NewSource(cfg.Seed)),
-			TimePredicate: n.Mask,
-			Kernel:        n.Kernel,
-			Tracer:        cfg.Tracer,
-		})
-		return err
-	case AlgoSortMerge:
-		_, _, err := join.SortMerge(left, right, sink, join.SortMergeConfig{
-			Ctx:           ctx,
-			MemoryPages:   memory,
-			TimePredicate: n.Mask,
-			Kernel:        n.Kernel,
-			Tracer:        cfg.Tracer,
-		})
-		return err
-	case AlgoNestedLoop:
-		_, err := join.NestedLoop(left, right, sink, join.NestedLoopConfig{
-			Ctx:           ctx,
-			MemoryPages:   memory,
-			TimePredicate: n.Mask,
-			Kernel:        n.Kernel,
-			Tracer:        cfg.Tracer,
-		})
-		return err
-	}
-	return fmt.Errorf("plan2: unknown algorithm %d", n.Algorithm)
+	_, err := join.Run(n.Algorithm, left, right, sink, join.Spec{
+		Ctx:           ctx,
+		MemoryPages:   memory,
+		Weights:       cost.Ratio(cfg.RandomCost),
+		Rng:           rand.New(rand.NewSource(cfg.Seed)),
+		TimePredicate: n.Mask,
+		Kernel:        n.Kernel,
+		Tracer:        cfg.Tracer,
+	})
+	return err
 }
 
 // chanSink bridges the push-style join sink onto the pull-style

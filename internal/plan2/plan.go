@@ -30,29 +30,6 @@ type Catalog interface {
 	Lookup(name string) (*relation.Relation, error)
 }
 
-// Algorithm selects a join evaluation strategy.
-type Algorithm int
-
-// The join algorithms the language's "using" hint selects.
-const (
-	AlgoPartition Algorithm = iota
-	AlgoSortMerge
-	AlgoNestedLoop
-)
-
-// String names the algorithm.
-func (a Algorithm) String() string {
-	switch a {
-	case AlgoPartition:
-		return "partition"
-	case AlgoSortMerge:
-		return "sortmerge"
-	case AlgoNestedLoop:
-		return "nestedloop"
-	}
-	return "invalid"
-}
-
 // AggOp selects a per-chronon aggregate.
 type AggOp int
 
@@ -118,7 +95,7 @@ func (n *ProjectNode) Inputs() []Node { return []Node{n.Input} }
 type JoinNode struct {
 	Left, Right Node
 	Plan        *schema.JoinPlan
-	Algorithm   Algorithm
+	Algorithm   join.Algorithm
 	Kernel      join.Kernel
 	Mask        chronon.Mask
 	// Shards > 1 time-shards the join across private devices.
@@ -265,16 +242,10 @@ func (b *binder) stage(input Node, st query.Stage) (Node, error) {
 			Shards: s.Hints.Shards,
 			Memory: s.Hints.Memory,
 		}
-		switch s.Hints.Algorithm {
-		case "", "partition":
-			n.Algorithm = AlgoPartition
-		case "sortmerge":
-			n.Algorithm = AlgoSortMerge
-		case "nestedloop":
-			n.Algorithm = AlgoNestedLoop
-		default:
-			return nil, &query.Error{Line: s.Line, Col: s.Col,
-				Msg: fmt.Sprintf("join: unknown algorithm %q", s.Hints.Algorithm)}
+		if s.Hints.Algorithm != "" {
+			if n.Algorithm, err = join.ParseAlgorithm(s.Hints.Algorithm); err != nil {
+				return nil, &query.Error{Line: s.Line, Col: s.Col, Msg: err.Error()}
+			}
 		}
 		if s.Hints.Kernel == "scan" {
 			n.Kernel = join.KernelScan

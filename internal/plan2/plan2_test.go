@@ -243,7 +243,7 @@ func TestJoinMatchesDirect(t *testing.T) {
 	cfg := Config{Disk: d, MemoryPages: 16}
 
 	var want relation.CollectSink
-	if _, err := join.NestedLoop(r, s, &want, join.NestedLoopConfig{
+	if _, err := join.NestedLoop(r, s, &want, join.Spec{
 		MemoryPages: 16, TimePredicate: chronon.MaskIntersects, Kernel: join.KernelSweep,
 	}); err != nil {
 		t.Fatal(err)
@@ -299,7 +299,7 @@ func TestJoinSubqueryInputs(t *testing.T) {
 	fr := filter(r, func(tp tuple.Tuple) bool { return tp.Values[0].AsInt() < 20 })
 	fs := filter(s, func(tp tuple.Tuple) bool { return tp.V.Overlaps(iv(0, 500)) })
 	var want relation.CollectSink
-	if _, _, err := join.SortMerge(fr, fs, &want, join.SortMergeConfig{
+	if _, _, err := join.SortMerge(fr, fs, &want, join.Spec{
 		MemoryPages: 16, TimePredicate: chronon.MaskIntersects, Kernel: join.KernelSweep,
 	}); err != nil {
 		t.Fatal(err)
@@ -405,7 +405,7 @@ func TestComposedPipeline(t *testing.T) {
 		"scan r | join scan s using sortmerge | select key < 10 | project key | aggregate count")
 
 	var joined relation.CollectSink
-	if _, _, err := join.SortMerge(r, s, &joined, join.SortMergeConfig{
+	if _, _, err := join.SortMerge(r, s, &joined, join.Spec{
 		MemoryPages: 16, TimePredicate: chronon.MaskIntersects, Kernel: join.KernelSweep,
 	}); err != nil {
 		t.Fatal(err)

@@ -135,9 +135,31 @@ func (l Literal) canon(b *strings.Builder) {
 	case LitInt:
 		b.WriteString(strconv.FormatInt(l.Int, 10))
 	case LitFloat:
-		b.WriteString(strconv.FormatFloat(l.Float, 'g', -1, 64))
+		// 'g' drops the point from integral values ("2", "-0"), which
+		// would re-lex as ints; keep them floats.
+		f := strconv.FormatFloat(l.Float, 'g', -1, 64)
+		b.WriteString(f)
+		if !strings.ContainsAny(f, ".e") {
+			b.WriteString(".0")
+		}
 	case LitString:
-		b.WriteString(strconv.Quote(l.Str))
+		// Escape exactly what the lexer unescapes; every other byte
+		// stands for itself inside the quotes.
+		b.WriteByte('"')
+		for i := 0; i < len(l.Str); i++ {
+			switch c := l.Str[i]; c {
+			case '"', '\\':
+				b.WriteByte('\\')
+				b.WriteByte(c)
+			case '\n':
+				b.WriteString(`\n`)
+			case '\t':
+				b.WriteString(`\t`)
+			default:
+				b.WriteByte(c)
+			}
+		}
+		b.WriteByte('"')
 	case LitBool:
 		b.WriteString(strconv.FormatBool(l.Bool))
 	case LitNull:

@@ -5,43 +5,51 @@ import (
 	"testing"
 )
 
+// canonicalForms pairs query texts with their canonical forms; the
+// query fuzzer is seeded with the inputs.
+var canonicalForms = []struct {
+	in   string
+	want string
+}{
+	{"scan r", "scan r"},
+	{"  SCAN   r  ", "scan r"},
+	{"scan r | select key = 3", "scan r | select key = 3"},
+	{"scan r|SELECT key=3", "scan r | select key = 3"},
+	{"scan r | select key = 3 and vt overlaps [1, 10]",
+		"scan r | select key = 3 and vt overlaps [1, 10]"},
+	{"scan r | select NOT (a = 1 or b = 2)",
+		"scan r | select not (a = 1 or b = 2)"},
+	{"scan r | select vt during [beginning, forever]",
+		"scan r | select vt during [beginning, forever]"},
+	{"scan r | project a , b,c", "scan r | project a, b, c"},
+	{"scan r | join scan s", "scan r | join scan s"},
+	{"scan r | join (scan s)", "scan r | join scan s"},
+	{"scan r | join ( scan s | select k = 1 )",
+		"scan r | join (scan s | select k = 1)"},
+	// Hint variants: defaults elided, order fixed.
+	{"scan r | join scan s using partition kernel sweep on intersects",
+		"scan r | join scan s"},
+	{"scan r | join scan s kernel scan using sortmerge",
+		"scan r | join scan s using sortmerge kernel scan"},
+	{"scan r | join scan s memory 64 shards 4 on contains",
+		"scan r | join scan s on contains shards 4 memory 64"},
+	{"scan r | diff (scan s)", "scan r | diff scan s"},
+	{"scan r | aggregate COUNT", "scan r | aggregate count"},
+	{"scan r | aggregate sum  pay", "scan r | aggregate sum pay"},
+	{"scan r | select name = \"x\\\"y\"", `scan r | select name = "x\"y"`},
+	{"scan r | select f > -1.5", "scan r | select f > -1.5"},
+	{"scan r # load\n | select ok = true # filter", "scan r | select ok = true"},
+	{"(scan r | select a = 1) | join (scan s | select b = 2) using nestedloop",
+		"(scan r | select a = 1) | join (scan s | select b = 2) using nestedloop"},
+	// Literals keep their kind and value: raw bytes outside the lexer's
+	// escape set, integral floats and negative zero.
+	{"scan r | select name = \"a\rb\"", "scan r | select name = \"a\rb\""},
+	{"scan r | select f = 2.0", "scan r | select f = 2.0"},
+	{"scan r | select f = -0.0", "scan r | select f = -0.0"},
+}
+
 func TestNormalizeCanonicalForms(t *testing.T) {
-	cases := []struct {
-		in   string
-		want string
-	}{
-		{"scan r", "scan r"},
-		{"  SCAN   r  ", "scan r"},
-		{"scan r | select key = 3", "scan r | select key = 3"},
-		{"scan r|SELECT key=3", "scan r | select key = 3"},
-		{"scan r | select key = 3 and vt overlaps [1, 10]",
-			"scan r | select key = 3 and vt overlaps [1, 10]"},
-		{"scan r | select NOT (a = 1 or b = 2)",
-			"scan r | select not (a = 1 or b = 2)"},
-		{"scan r | select vt during [beginning, forever]",
-			"scan r | select vt during [beginning, forever]"},
-		{"scan r | project a , b,c", "scan r | project a, b, c"},
-		{"scan r | join scan s", "scan r | join scan s"},
-		{"scan r | join (scan s)", "scan r | join scan s"},
-		{"scan r | join ( scan s | select k = 1 )",
-			"scan r | join (scan s | select k = 1)"},
-		// Hint variants: defaults elided, order fixed.
-		{"scan r | join scan s using partition kernel sweep on intersects",
-			"scan r | join scan s"},
-		{"scan r | join scan s kernel scan using sortmerge",
-			"scan r | join scan s using sortmerge kernel scan"},
-		{"scan r | join scan s memory 64 shards 4 on contains",
-			"scan r | join scan s on contains shards 4 memory 64"},
-		{"scan r | diff (scan s)", "scan r | diff scan s"},
-		{"scan r | aggregate COUNT", "scan r | aggregate count"},
-		{"scan r | aggregate sum  pay", "scan r | aggregate sum pay"},
-		{"scan r | select name = \"x\\\"y\"", `scan r | select name = "x\"y"`},
-		{"scan r | select f > -1.5", "scan r | select f > -1.5"},
-		{"scan r # load\n | select ok = true # filter", "scan r | select ok = true"},
-		{"(scan r | select a = 1) | join (scan s | select b = 2) using nestedloop",
-			"(scan r | select a = 1) | join (scan s | select b = 2) using nestedloop"},
-	}
-	for _, c := range cases {
+	for _, c := range canonicalForms {
 		got, err := Normalize(c.in)
 		if err != nil {
 			t.Errorf("Normalize(%q): %v", c.in, err)

@@ -15,6 +15,7 @@ import (
 	"vtjoin/internal/cost"
 	"vtjoin/internal/csvio"
 	"vtjoin/internal/incremental"
+	"vtjoin/internal/join"
 	"vtjoin/internal/partition"
 	"vtjoin/internal/plan2"
 	"vtjoin/internal/relation"
@@ -133,7 +134,7 @@ func subscribable(root plan2.Node) (*plan2.JoinNode, *plan2.ScanNode, *plan2.Sca
 	if !lok || !rok {
 		return nil, nil, nil, fmt.Errorf("subscriptions join base relations only (no sub-pipelines)")
 	}
-	if jn.Algorithm != plan2.AlgoPartition {
+	if jn.Algorithm != join.AlgorithmPartition {
 		return nil, nil, nil, fmt.Errorf("subscriptions maintain the partition algorithm; drop the %q hint", jn.Algorithm)
 	}
 	if jn.Shards > 1 {

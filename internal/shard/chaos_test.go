@@ -10,6 +10,7 @@ import (
 
 	"vtjoin/internal/disk"
 	"vtjoin/internal/execctx"
+	"vtjoin/internal/join"
 	"vtjoin/internal/page"
 	"vtjoin/internal/relation"
 	"vtjoin/internal/testutil"
@@ -80,7 +81,7 @@ func (g *shardRig) newDevice(j int) *disk.Disk {
 }
 
 // runShardChaos executes one sharded join with full rig control.
-func runShardChaos(ctx context.Context, algo Algorithm, r, s *relation.Relation, tr *trace.Tracer, rig *shardRig, sequential bool) ([]tuple.Tuple, error) {
+func runShardChaos(ctx context.Context, algo join.Algorithm, r, s *relation.Relation, tr *trace.Tracer, rig *shardRig, sequential bool) ([]tuple.Tuple, error) {
 	var sink relation.CollectSink
 	_, _, err := Join(algo, r, s, &sink, Config{
 		Ctx: ctx, Shards: 3, MemoryPages: 30, Seed: 404,
@@ -95,7 +96,7 @@ func runShardChaos(ctx context.Context, algo Algorithm, r, s *relation.Relation,
 // shardChaosBaseline runs an algorithm cleanly on instrumented devices
 // and returns the per-shard operation and read schedules the strikes
 // are drawn from, plus the canonical result.
-func shardChaosBaseline(t *testing.T, algo Algorithm, rTuples, sTuples []tuple.Tuple) (ops, reads []int64) {
+func shardChaosBaseline(t *testing.T, algo join.Algorithm, rTuples, sTuples []tuple.Tuple) (ops, reads []int64) {
 	t.Helper()
 	d := disk.New(page.DefaultSize)
 	r := load(t, d, empSchema, rTuples)
@@ -152,9 +153,9 @@ func TestShardChaosMidQueryAbort(t *testing.T) {
 	rTuples, sTuples := chaosInputs(301)
 	rng := rand.New(rand.NewSource(2028))
 
-	for _, algo := range algorithms {
+	for _, algo := range join.Algorithms {
 		algo := algo
-		t.Run(algo.String(), func(t *testing.T) {
+		t.Run(algo.Label(), func(t *testing.T) {
 			testutil.VerifyNoLeaks(t)
 			ops, _ := shardChaosBaseline(t, algo, rTuples, sTuples)
 
@@ -209,9 +210,9 @@ func TestShardChaosPermanentFaultAbort(t *testing.T) {
 	rTuples, sTuples := chaosInputs(302)
 	rng := rand.New(rand.NewSource(2029))
 
-	for _, algo := range algorithms {
+	for _, algo := range join.Algorithms {
 		algo := algo
-		t.Run(algo.String(), func(t *testing.T) {
+		t.Run(algo.Label(), func(t *testing.T) {
 			testutil.VerifyNoLeaks(t)
 			_, reads := shardChaosBaseline(t, algo, rTuples, sTuples)
 
@@ -257,9 +258,9 @@ func TestShardChaosParallelCancel(t *testing.T) {
 	rTuples, sTuples := chaosInputs(303)
 	rng := rand.New(rand.NewSource(2030))
 
-	for _, algo := range algorithms {
+	for _, algo := range join.Algorithms {
 		algo := algo
-		t.Run(algo.String(), func(t *testing.T) {
+		t.Run(algo.Label(), func(t *testing.T) {
 			testutil.VerifyNoLeaks(t)
 			ops, _ := shardChaosBaseline(t, algo, rTuples, sTuples)
 			target := rng.Intn(len(ops))
@@ -297,9 +298,9 @@ func TestShardHookedDevicesAreTransparent(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
 	rTuples, sTuples := chaosInputs(304)
 
-	for _, algo := range algorithms {
+	for _, algo := range join.Algorithms {
 		algo := algo
-		t.Run(algo.String(), func(t *testing.T) {
+		t.Run(algo.Label(), func(t *testing.T) {
 			plainDev := disk.New(page.DefaultSize)
 			var plainShards []*disk.Disk
 			var plainSink relation.CollectSink

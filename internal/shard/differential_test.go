@@ -49,10 +49,10 @@ func TestDifferentialFullMatrix(t *testing.T) {
 	}
 
 	for _, in := range inputs {
-		for _, algo := range algorithms {
+		for _, algo := range join.Algorithms {
 			for _, kernel := range []join.Kernel{join.KernelSweep, join.KernelScan} {
 				for name, pred := range predicates {
-					t.Run(fmt.Sprintf("%s/%s/%s/%s", in.name, algo, kernel, name), func(t *testing.T) {
+					t.Run(fmt.Sprintf("%s/%s/%s/%s", in.name, algo.Label(), kernel, name), func(t *testing.T) {
 						want := oracle(t, pred, in.r, in.s)
 						got, stats := runSharded(t, algo, in.r, in.s, Config{
 							Shards: 3, MemoryPages: 24, Seed: 77,
@@ -84,7 +84,7 @@ func TestAdversarialReplicationCount(t *testing.T) {
 	rTuples := spanning(rng, 5, n, 1, 4000)
 	sTuples := spanning(rng, 5, n, 2, 4000)
 
-	_, stats := runSharded(t, AlgorithmSortMerge, rTuples, sTuples, Config{
+	_, stats := runSharded(t, join.AlgorithmSortMerge, rTuples, sTuples, Config{
 		Shards: 4, MemoryPages: 32, Seed: 21,
 	})
 	k := stats.Shards
@@ -117,8 +117,8 @@ func TestDeterministicOrdering(t *testing.T) {
 	rTuples := w.generate(rng, 1)
 	sTuples := w.generate(rng, 2)
 
-	for _, algo := range algorithms {
-		t.Run(algo.String(), func(t *testing.T) {
+	for _, algo := range join.Algorithms {
+		t.Run(algo.Label(), func(t *testing.T) {
 			base := Config{Shards: 4, MemoryPages: 32, Seed: 55}
 			ref, _ := runSharded(t, algo, rTuples, sTuples, base)
 
@@ -161,9 +161,9 @@ func TestPerShardIOMatchesComposedReference(t *testing.T) {
 	rTuples := w.generate(rng, 1)
 	sTuples := w.generate(rng, 2)
 
-	for _, algo := range algorithms {
+	for _, algo := range join.Algorithms {
 		for _, kernel := range []join.Kernel{join.KernelSweep, join.KernelScan} {
-			t.Run(fmt.Sprintf("%s/%s", algo, kernel), func(t *testing.T) {
+			t.Run(fmt.Sprintf("%s/%s", algo.Label(), kernel), func(t *testing.T) {
 				cfg := Config{
 					Shards: 3, MemoryPages: 30, Seed: 101,
 					Kernel: kernel, Sequential: true,
@@ -196,22 +196,11 @@ func TestPerShardIOMatchesComposedReference(t *testing.T) {
 					base := d.Counters()
 					bs := &boundSink{next: res.NewBuilder(), bounds: bounds, shard: j}
 
-					switch algo {
-					case AlgorithmNestedLoop:
-						_, err = join.NestedLoop(r, s, bs, join.NestedLoopConfig{
-							MemoryPages: perShard, Sequential: true, Kernel: kernel,
-						})
-					case AlgorithmSortMerge:
-						_, _, err = join.SortMerge(r, s, bs, join.SortMergeConfig{
-							MemoryPages: perShard, Sequential: true, Kernel: kernel,
-						})
-					case AlgorithmPartition:
-						local := stats.LocalParts[j]
-						_, _, err = join.Partition(r, s, bs, join.PartitionConfig{
-							MemoryPages: perShard, Weights: cost.Ratio(5),
-							Partitioning: &local, Sequential: true, Kernel: kernel,
-						})
-					}
+					local := stats.LocalParts[j]
+					_, err = join.Run(algo, r, s, bs, join.Spec{
+						MemoryPages: perShard, Weights: cost.Ratio(5),
+						Partitioning: &local, Sequential: true, Kernel: kernel,
+					})
 					if err != nil {
 						t.Fatalf("composed reference, shard %d: %v", j, err)
 					}
@@ -240,8 +229,8 @@ func TestIOInvariantAcrossWorkers(t *testing.T) {
 	rTuples := w.generate(rng, 1)
 	sTuples := w.generate(rng, 2)
 
-	for _, algo := range algorithms {
-		t.Run(algo.String(), func(t *testing.T) {
+	for _, algo := range join.Algorithms {
+		t.Run(algo.Label(), func(t *testing.T) {
 			perIO := func(cfg Config) []disk.Counters {
 				_, stats := runSharded(t, algo, rTuples, sTuples, cfg)
 				out := make([]disk.Counters, len(stats.PerShard))

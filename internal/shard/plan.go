@@ -21,13 +21,12 @@ func planShards(r *relation.Relation, cfg Config, perShard int) (partition.Parti
 		buffSize = 1
 	}
 	plan, _, err := partition.DeterminePartIntervals(r, partition.PlanConfig{
-		Ctx:           cfg.Ctx,
-		BuffSize:      buffSize,
-		Weights:       cfg.Weights,
-		Rng:           rand.New(rand.NewSource(cfg.Seed)),
-		CandidateStep: cfg.CandidateStep,
-		Tracer:        cfg.Tracer,
-		Shards:        cfg.Shards,
+		Ctx:      cfg.Ctx,
+		BuffSize: buffSize,
+		Weights:  cfg.Weights,
+		Rng:      rand.New(rand.NewSource(cfg.Seed)),
+		Tracer:   cfg.Tracer,
+		Shards:   cfg.Shards,
 	})
 	if err != nil {
 		return partition.Partitioning{}, nil, err

@@ -32,6 +32,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"time"
 
 	"vtjoin/internal/buffer"
@@ -46,28 +47,7 @@ import (
 	"vtjoin/internal/trace"
 )
 
-// Algorithm selects the join algorithm every shard pipeline runs.
-type Algorithm int
-
-// The available per-shard algorithms.
-const (
-	AlgorithmPartition Algorithm = iota
-	AlgorithmSortMerge
-	AlgorithmNestedLoop
-)
-
-// String names the algorithm.
-func (a Algorithm) String() string {
-	switch a {
-	case AlgorithmPartition:
-		return "partition"
-	case AlgorithmSortMerge:
-		return "sort-merge"
-	case AlgorithmNestedLoop:
-		return "nested-loop"
-	}
-	return "invalid"
-}
+const AlgorithmPartition = join.AlgorithmPartition // Deprecated: kept for bench/; delete once it calls join.Run.
 
 // Config configures a sharded join execution.
 type Config struct {
@@ -89,8 +69,6 @@ type Config struct {
 	Weights cost.Weights
 	// Seed drives the boundary-planning sampler.
 	Seed int64
-	// CandidateStep is passed through to the partition planner.
-	CandidateStep int
 	// TimePredicate restricts matches to pairs whose intervals satisfy
 	// the mask (zero: intersection, the valid-time natural join).
 	TimePredicate join.Predicate
@@ -150,10 +128,8 @@ type Stats struct {
 // same device) time-sharded across private per-shard devices, streaming
 // the merged result to sink in deterministic order. The returned report
 // aggregates I/O over the global and all shard devices by phase.
-func Join(algo Algorithm, r, s *relation.Relation, sink relation.Sink, cfg Config) (*cost.Report, *Stats, error) {
-	switch algo {
-	case AlgorithmPartition, AlgorithmSortMerge, AlgorithmNestedLoop:
-	default:
+func Join(algo join.Algorithm, r, s *relation.Relation, sink relation.Sink, cfg Config) (*cost.Report, *Stats, error) {
+	if !slices.Contains(join.Algorithms, algo) {
 		return nil, nil, fmt.Errorf("shard: unknown algorithm %d", algo)
 	}
 	if r.Disk() != s.Disk() {
@@ -176,7 +152,7 @@ func Join(algo Algorithm, r, s *relation.Relation, sink relation.Sink, cfg Confi
 
 	global := r.Disk()
 	tr := cfg.Tracer
-	rep := &cost.Report{Algorithm: "sharded " + algo.String()}
+	rep := &cost.Report{Algorithm: "sharded " + algo.Label()}
 
 	// Phase metering sums the global device and every shard device, so
 	// the report covers all I/O the execution caused anywhere.
@@ -355,7 +331,7 @@ func Join(algo Algorithm, r, s *relation.Relation, sink relation.Sink, cfg Confi
 }
 
 // runShard executes one shard's pipeline against its private device.
-func runShard(algo Algorithm, j int, r, s, res *relation.Relation, dev *disk.Disk,
+func runShard(algo join.Algorithm, j int, r, s, res *relation.Relation, dev *disk.Disk,
 	bounds partition.Partitioning, local *partition.Partitioning, memory int,
 	cfg Config, spans []*trace.Span, stats *Stats) error {
 	var shtr *trace.Tracer
@@ -364,26 +340,11 @@ func runShard(algo Algorithm, j int, r, s, res *relation.Relation, dev *disk.Dis
 	}
 	base := dev.Counters()
 	bs := &boundSink{next: res.NewBuilder(), bounds: bounds, shard: j}
-
-	var err error
-	switch algo {
-	case AlgorithmNestedLoop:
-		_, err = join.NestedLoop(r, s, bs, join.NestedLoopConfig{
-			Ctx: cfg.Ctx, MemoryPages: memory, TimePredicate: cfg.TimePredicate,
-			Sequential: cfg.Sequential, Kernel: cfg.Kernel, Tracer: shtr,
-		})
-	case AlgorithmSortMerge:
-		_, _, err = join.SortMerge(r, s, bs, join.SortMergeConfig{
-			Ctx: cfg.Ctx, MemoryPages: memory, TimePredicate: cfg.TimePredicate,
-			Sequential: cfg.Sequential, Kernel: cfg.Kernel, Tracer: shtr,
-		})
-	case AlgorithmPartition:
-		_, _, err = join.Partition(r, s, bs, join.PartitionConfig{
-			Ctx: cfg.Ctx, MemoryPages: memory, Weights: cfg.Weights,
-			Partitioning: local, TimePredicate: cfg.TimePredicate,
-			Sequential: cfg.Sequential, Kernel: cfg.Kernel, Tracer: shtr,
-		})
-	}
+	_, err := join.Run(algo, r, s, bs, join.Spec{
+		Ctx: cfg.Ctx, MemoryPages: memory, Weights: cfg.Weights,
+		Partitioning: local, TimePredicate: cfg.TimePredicate,
+		Sequential: cfg.Sequential, Kernel: cfg.Kernel, Tracer: shtr,
+	})
 	span, auditErr := shtr.Finish()
 	spans[j] = span
 	stats.PerShard[j].IO = dev.Counters().Sub(base)

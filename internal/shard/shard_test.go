@@ -27,8 +27,6 @@ var (
 	)
 )
 
-var algorithms = []Algorithm{AlgorithmPartition, AlgorithmSortMerge, AlgorithmNestedLoop}
-
 // workload produces paired tuple sets with controlled key selectivity
 // and long-lived density (mirrors the join package's test workloads).
 type workload struct {
@@ -93,7 +91,7 @@ func assertSameResult(t *testing.T, label string, got, want []tuple.Tuple) {
 
 // runSharded loads the inputs on a fresh device and runs one sharded
 // execution, returning the merged result in emission order.
-func runSharded(t *testing.T, algo Algorithm, rTuples, sTuples []tuple.Tuple, cfg Config) ([]tuple.Tuple, *Stats) {
+func runSharded(t *testing.T, algo join.Algorithm, rTuples, sTuples []tuple.Tuple, cfg Config) ([]tuple.Tuple, *Stats) {
 	t.Helper()
 	d := disk.New(page.DefaultSize)
 	r := load(t, d, empSchema, rTuples)
@@ -129,9 +127,9 @@ func TestShardedMatchesReference(t *testing.T) {
 	sTuples := w.generate(rng, 2)
 	want := oracle(t, 0, rTuples, sTuples)
 
-	for _, algo := range algorithms {
+	for _, algo := range join.Algorithms {
 		for _, k := range []int{1, 2, 3, 4, 8} {
-			t.Run(fmt.Sprintf("%s/k=%d", algo, k), func(t *testing.T) {
+			t.Run(fmt.Sprintf("%s/k=%d", algo.Label(), k), func(t *testing.T) {
 				got, stats := runSharded(t, algo, rTuples, sTuples, Config{
 					Shards: k, MemoryPages: 8 * k, Seed: 42,
 				})
@@ -228,7 +226,7 @@ func TestEffectiveShardsCapped(t *testing.T) {
 	sTuples := w.generate(rng, 2)
 	want := oracle(t, 0, rTuples, sTuples)
 
-	got, stats := runSharded(t, AlgorithmPartition, rTuples, sTuples, Config{
+	got, stats := runSharded(t, join.AlgorithmPartition, rTuples, sTuples, Config{
 		Shards: 8, MemoryPages: 64, Seed: 3,
 	})
 	if stats.Shards > 8 {
@@ -239,8 +237,8 @@ func TestEffectiveShardsCapped(t *testing.T) {
 
 // TestEmptyInputs: zero-tuple relations shard and join cleanly.
 func TestEmptyInputs(t *testing.T) {
-	for _, algo := range algorithms {
-		t.Run(algo.String(), func(t *testing.T) {
+	for _, algo := range join.Algorithms {
+		t.Run(algo.Label(), func(t *testing.T) {
 			got, stats := runSharded(t, algo, nil, nil, Config{
 				Shards: 4, MemoryPages: 32, Seed: 1,
 			})
@@ -263,13 +261,13 @@ func TestConfigValidation(t *testing.T) {
 	s := load(t, d, deptSchema, nil)
 	var sink relation.CollectSink
 
-	if _, _, err := Join(Algorithm(99), r, s, &sink, Config{Shards: 1, MemoryPages: 8}); err == nil {
+	if _, _, err := Join(join.Algorithm(99), r, s, &sink, Config{Shards: 1, MemoryPages: 8}); err == nil {
 		t.Error("unknown algorithm accepted")
 	}
-	if _, _, err := Join(AlgorithmPartition, r, s, &sink, Config{Shards: 0, MemoryPages: 8}); err == nil {
+	if _, _, err := Join(join.AlgorithmPartition, r, s, &sink, Config{Shards: 0, MemoryPages: 8}); err == nil {
 		t.Error("zero shards accepted")
 	}
-	if _, _, err := Join(AlgorithmPartition, r, s, &sink, Config{Shards: 4, MemoryPages: 12}); err == nil {
+	if _, _, err := Join(join.AlgorithmPartition, r, s, &sink, Config{Shards: 4, MemoryPages: 12}); err == nil {
 		t.Error("3-pages-per-shard budget accepted; the floor is 4")
 	} else if !strings.Contains(err.Error(), "4") {
 		t.Errorf("budget error does not mention the floor: %v", err)
@@ -277,7 +275,7 @@ func TestConfigValidation(t *testing.T) {
 
 	other := disk.New(page.DefaultSize)
 	s2 := load(t, other, deptSchema, nil)
-	if _, _, err := Join(AlgorithmPartition, r, s2, &sink, Config{Shards: 1, MemoryPages: 8}); err == nil {
+	if _, _, err := Join(join.AlgorithmPartition, r, s2, &sink, Config{Shards: 1, MemoryPages: 8}); err == nil {
 		t.Error("inputs on different devices accepted")
 	}
 }
@@ -295,7 +293,7 @@ func TestShardDevicesReclaimed(t *testing.T) {
 
 	var devs []*disk.Disk
 	var sink relation.CollectSink
-	_, _, err := Join(AlgorithmSortMerge, r, s, &sink, Config{
+	_, _, err := Join(join.AlgorithmSortMerge, r, s, &sink, Config{
 		Shards: 3, MemoryPages: 24, Seed: 8,
 		NewDevice: func(int) *disk.Disk {
 			nd := disk.New(page.DefaultSize)

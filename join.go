@@ -30,17 +30,10 @@ const (
 
 // String names the algorithm.
 func (a Algorithm) String() string {
-	switch a {
-	case AlgorithmAuto:
-		return "auto"
-	case AlgorithmPartition:
-		return "partition-join"
-	case AlgorithmSortMerge:
-		return "sort-merge"
-	case AlgorithmNestedLoop:
-		return "nested-loop"
+	if a < AlgorithmAuto || a > AlgorithmNestedLoop {
+		return "invalid"
 	}
-	return "invalid"
+	return [...]string{"auto", "partition-join", "sort-merge", "nested-loop"}[a]
 }
 
 // Predicate selects the temporal condition tuple pairs must satisfy,
@@ -194,9 +187,6 @@ type Options struct {
 	// the unsharded run; only wall-clock time changes (inner joins
 	// only). 0 or 1 runs unsharded.
 	Shards int
-	// ShardWorkers bounds how many shard pipelines run concurrently
-	// (default: NumCPU). Results are identical at any setting.
-	ShardWorkers int
 	// Trace collects a hierarchical execution trace of the run — per
 	// phase (and per partition / block / merge pass) spans carrying
 	// exact I/O counter deltas, wall and CPU time, the planner's
@@ -294,7 +284,7 @@ func JoinContext(ctx context.Context, r, s *Relation, opts Options) (*Result, er
 	out := relation.Create(db.d, outSchema)
 	sink := out.NewBuilder()
 
-	rep, span, algo, err := run(ctx, o, r, s, sink)
+	rep, span, err := run(ctx, o, r, s, sink)
 	if err != nil {
 		_ = out.Drop()
 		return nil, err
@@ -303,22 +293,9 @@ func JoinContext(ctx context.Context, r, s *Relation, opts Options) (*Result, er
 
 	res := &Result{
 		Relation:  &Relation{db: db, rel: out},
-		Algorithm: algo,
+		Algorithm: o.Algorithm,
+		Phases:    phaseCosts(rep, w),
 		Trace:     span,
-	}
-	for _, ph := range rep.Phases {
-		c := ph.Counters
-		res.Phases = append(res.Phases, PhaseCost{
-			Name: ph.Name,
-			Cost: w.Of(c),
-			IO: IOCounters{
-				RandomReads:      c.RandReads,
-				SequentialReads:  c.SeqReads,
-				RandomWrites:     c.RandWrites,
-				SequentialWrites: c.SeqWrites,
-				Retries:          c.Retries,
-			},
-		})
 	}
 	// Split out the result-write cost: the writes in the report that
 	// went to the output relation. Conservatively, every write page of
@@ -351,26 +328,21 @@ func JoinIntoContext(ctx context.Context, r, s *Relation, opts Options, fn func(
 		return nil, fmt.Errorf("vtjoin: relations belong to different DBs")
 	}
 	o := opts.withDefaults()
-	rep, _, _, err := run(ctx, o, r, s, funcSink(fn))
+	rep, _, err := run(ctx, o, r, s, funcSink(fn))
 	if err != nil {
 		return nil, err
 	}
-	w := cost.Ratio(o.RandomCost)
+	return phaseCosts(rep, cost.Ratio(o.RandomCost)), nil
+}
+
+// phaseCosts converts an engine report into the public per-phase costs
+// under the weights w.
+func phaseCosts(rep *cost.Report, w cost.Weights) []PhaseCost {
 	var phases []PhaseCost
 	for _, ph := range rep.Phases {
-		c := ph.Counters
-		phases = append(phases, PhaseCost{
-			Name: ph.Name,
-			Cost: w.Of(c),
-			IO: IOCounters{
-				RandomReads:      c.RandReads,
-				SequentialReads:  c.SeqReads,
-				RandomWrites:     c.RandWrites,
-				SequentialWrites: c.SeqWrites,
-			},
-		})
+		phases = append(phases, PhaseCost{Name: ph.Name, Cost: w.Of(ph.Counters), IO: ioCounters(ph.Counters)})
 	}
-	return phases, nil
+	return phases
 }
 
 type funcSink func(Tuple) error
@@ -389,46 +361,42 @@ func outputSchema(r, s *Relation) (*Schema, error) {
 // run dispatches the evaluation, wrapping it in an execution trace
 // when requested. Audit violations surface as errors even when the
 // evaluation itself succeeded.
-func run(ctx context.Context, o Options, r, s *Relation, sink relation.Sink) (*cost.Report, *trace.Span, Algorithm, error) {
+func run(ctx context.Context, o Options, r, s *Relation, sink relation.Sink) (*cost.Report, *trace.Span, error) {
 	var tr *trace.Tracer
 	if o.Trace || o.TraceAudit {
 		tr = trace.New(r.db.d, o.Algorithm.String(), trace.Options{Audit: o.TraceAudit})
 	}
-	rep, algo, err := dispatch(ctx, o, r, s, sink, tr)
+	rep, err := dispatch(ctx, o, r, s, sink, tr)
 	span, auditErr := tr.Finish()
 	if err != nil {
-		return nil, nil, algo, err
+		return nil, nil, err
 	}
 	if auditErr != nil {
-		return nil, nil, algo, auditErr
+		return nil, nil, auditErr
 	}
-	return rep, span, algo, nil
+	return rep, span, nil
 }
 
-func dispatch(ctx context.Context, o Options, r, s *Relation, sink relation.Sink, tr *trace.Tracer) (*cost.Report, Algorithm, error) {
+// dispatch hands the evaluation to shard.Join or join.Run. Outer joins
+// compose the coverage-tracking passes that the partition and
+// nested-loop engines provide; join.Run rejects them on sort-merge.
+func dispatch(ctx context.Context, o Options, r, s *Relation, sink relation.Sink, tr *trace.Tracer) (*cost.Report, error) {
 	mask, err := o.Predicate.mask()
 	if err != nil {
-		return nil, o.Algorithm, err
+		return nil, err
 	}
+	if o.Algorithm < AlgorithmPartition || o.Algorithm > AlgorithmNestedLoop {
+		return nil, fmt.Errorf("vtjoin: unknown algorithm %d", o.Algorithm)
+	}
+	// The public algorithms after AlgorithmAuto follow join's order.
+	algo := join.Algorithm(o.Algorithm - AlgorithmPartition)
 	if o.Shards > 1 {
 		if o.Type != JoinInner {
-			return nil, o.Algorithm, fmt.Errorf("vtjoin: sharded execution supports inner joins only (outer coverage cannot be decided per shard)")
+			return nil, fmt.Errorf("vtjoin: sharded execution supports inner joins only (outer coverage cannot be decided per shard)")
 		}
-		var salgo shard.Algorithm
-		switch o.Algorithm {
-		case AlgorithmPartition:
-			salgo = shard.AlgorithmPartition
-		case AlgorithmSortMerge:
-			salgo = shard.AlgorithmSortMerge
-		case AlgorithmNestedLoop:
-			salgo = shard.AlgorithmNestedLoop
-		default:
-			return nil, o.Algorithm, fmt.Errorf("vtjoin: unknown algorithm %d", o.Algorithm)
-		}
-		rep, _, err := shard.Join(salgo, r.internal(), s.internal(), sink, shard.Config{
+		rep, _, err := shard.Join(algo, r.internal(), s.internal(), sink, shard.Config{
 			Ctx:           ctx,
 			Shards:        o.Shards,
-			Workers:       o.ShardWorkers,
 			MemoryPages:   o.MemoryPages,
 			Weights:       cost.Ratio(o.RandomCost),
 			Seed:          o.Seed,
@@ -436,83 +404,32 @@ func dispatch(ctx context.Context, o Options, r, s *Relation, sink relation.Sink
 			Kernel:        o.Kernel.internal(),
 			Tracer:        tr,
 		})
-		return rep, o.Algorithm, err
-	}
-	if o.Type == JoinInner {
-		switch o.Algorithm {
-		case AlgorithmNestedLoop:
-			rep, err := join.NestedLoop(r.internal(), s.internal(), sink,
-				join.NestedLoopConfig{Ctx: ctx, MemoryPages: o.MemoryPages, TimePredicate: mask, Kernel: o.Kernel.internal(), Tracer: tr})
-			return rep, AlgorithmNestedLoop, err
-		case AlgorithmSortMerge:
-			rep, _, err := join.SortMerge(r.internal(), s.internal(), sink,
-				join.SortMergeConfig{Ctx: ctx, MemoryPages: o.MemoryPages, TimePredicate: mask, Kernel: o.Kernel.internal(), Tracer: tr})
-			return rep, AlgorithmSortMerge, err
-		case AlgorithmPartition:
-			rep, _, err := join.Partition(r.internal(), s.internal(), sink, join.PartitionConfig{
-				Ctx:           ctx,
-				MemoryPages:   o.MemoryPages,
-				Weights:       cost.Ratio(o.RandomCost),
-				Rng:           rand.New(rand.NewSource(o.Seed)),
-				TimePredicate: mask,
-				Kernel:        o.Kernel.internal(),
-				Tracer:        tr,
-			})
-			return rep, AlgorithmPartition, err
-		}
-		return nil, o.Algorithm, fmt.Errorf("vtjoin: unknown algorithm %d", o.Algorithm)
-	}
-	return runOuter(ctx, o, mask, r, s, sink, tr)
-}
-
-// runOuter evaluates left, right and full outer joins by composing the
-// coverage-tracking passes of the partition or nested-loop algorithms.
-func runOuter(ctx context.Context, o Options, mask chronon.Mask, r, s *Relation, sink relation.Sink, tr *trace.Tracer) (*cost.Report, Algorithm, error) {
-	switch o.Algorithm {
-	case AlgorithmPartition, AlgorithmNestedLoop:
-	case AlgorithmSortMerge:
-		return nil, o.Algorithm, fmt.Errorf("vtjoin: outer joins are not supported by sort-merge (its spill files cannot carry match coverage); use partition or nested-loop")
-	default:
-		return nil, o.Algorithm, fmt.Errorf("vtjoin: unknown algorithm %d", o.Algorithm)
-	}
-
-	pass := func(left, right *Relation, plan2 *schema.JoinPlan, matches, frags relation.Sink, seed int64) (*cost.Report, error) {
-		if o.Algorithm == AlgorithmNestedLoop {
-			return join.NestedLoop(left.internal(), right.internal(), matches, join.NestedLoopConfig{
-				Ctx:           ctx,
-				MemoryPages:   o.MemoryPages,
-				TimePredicate: mask,
-				LeftFragments: frags,
-				Plan:          plan2,
-				Kernel:        o.Kernel.internal(),
-				Tracer:        tr,
-			})
-		}
-		rep, _, err := join.Partition(left.internal(), right.internal(), matches, join.PartitionConfig{
-			Ctx:           ctx,
-			MemoryPages:   o.MemoryPages,
-			Weights:       cost.Ratio(o.RandomCost),
-			Rng:           rand.New(rand.NewSource(seed)),
-			TimePredicate: mask,
-			LeftFragments: frags,
-			Plan:          plan2,
-			Kernel:        o.Kernel.internal(),
-			Tracer:        tr,
-		})
 		return rep, err
 	}
 
+	spec := join.Spec{
+		Ctx:           ctx,
+		MemoryPages:   o.MemoryPages,
+		Weights:       cost.Ratio(o.RandomCost),
+		TimePredicate: mask,
+		Kernel:        o.Kernel.internal(),
+		Tracer:        tr,
+	}
+	pass := func(left, right *Relation, plan *schema.JoinPlan, matches, frags relation.Sink, seed int64) (*cost.Report, error) {
+		spec.Rng, spec.Plan, spec.LeftFragments = rand.New(rand.NewSource(seed)), plan, frags
+		return join.Run(algo, left.internal(), right.internal(), matches, spec)
+	}
 	switch o.Type {
+	case JoinInner:
+		return pass(r, s, nil, sink, nil, o.Seed)
 	case JoinLeftOuter:
-		rep, err := pass(r, s, nil, sink, sink, o.Seed)
-		return rep, o.Algorithm, err
+		return pass(r, s, nil, sink, sink, o.Seed)
 	case JoinRightOuter:
 		plan, err := planPublic(r, s)
 		if err != nil {
-			return nil, o.Algorithm, err
+			return nil, err
 		}
-		rep, err := pass(s, r, plan.Swap(), sink, sink, o.Seed)
-		return rep, o.Algorithm, err
+		return pass(s, r, plan.Swap(), sink, sink, o.Seed)
 	case JoinFullOuter:
 		// Pass 1: inner matches plus left fragments. Pass 2 (inputs
 		// swapped): matches discarded (already emitted), right
@@ -521,18 +438,18 @@ func runOuter(ctx context.Context, o Options, mask chronon.Mask, r, s *Relation,
 		rep1, err := pass(r, s, nil, sink, sink, o.Seed)
 		tr.End()
 		if err != nil {
-			return nil, o.Algorithm, err
+			return nil, err
 		}
 		plan, err := planPublic(r, s)
 		if err != nil {
-			return nil, o.Algorithm, err
+			return nil, err
 		}
 		var discard relation.CountSink
 		tr.Begin("pass2")
 		rep2, err := pass(s, r, plan.Swap(), &discard, sink, o.Seed+1)
 		tr.End()
 		if err != nil {
-			return nil, o.Algorithm, err
+			return nil, err
 		}
 		combined := &cost.Report{Algorithm: rep1.Algorithm}
 		for _, ph := range rep1.Phases {
@@ -543,7 +460,7 @@ func runOuter(ctx context.Context, o Options, mask chronon.Mask, r, s *Relation,
 			ph.Name = "pass2 " + ph.Name
 			combined.AddPhase(ph)
 		}
-		return combined, o.Algorithm, nil
+		return combined, nil
 	}
-	return nil, o.Algorithm, fmt.Errorf("vtjoin: unknown join type %d", o.Type)
+	return nil, fmt.Errorf("vtjoin: unknown join type %d", o.Type)
 }

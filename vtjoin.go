@@ -195,8 +195,10 @@ func (db *DB) PageFormat() PageFormat { return db.d.PageFormat() }
 func (db *DB) ResetIOCounters() { db.d.ResetCounters() }
 
 // IOCounters returns the raw access counts since the last reset.
-func (db *DB) IOCounters() IOCounters {
-	c := db.d.Counters()
+func (db *DB) IOCounters() IOCounters { return ioCounters(db.d.Counters()) }
+
+// ioCounters converts the device's counters into the public form.
+func ioCounters(c disk.Counters) IOCounters {
 	return IOCounters{
 		RandomReads:      c.RandReads,
 		SequentialReads:  c.SeqReads,
