@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt check fuzz bench bench-check bench-smoke bench-compare explain-smoke chaos-smoke shard-smoke codec-smoke serve-smoke subs-smoke
+.PHONY: all build test race vet fmt check fuzz bench bench-check bench-smoke explain-smoke chaos-smoke shard-smoke codec-smoke serve-smoke subs-smoke
 
 all: check
 
@@ -28,6 +28,7 @@ check: vet fmt race
 fuzz:
 	$(GO) test ./internal/page -fuzz FuzzChecksumRoundTrip -fuzztime 30s
 	$(GO) test ./internal/query -fuzz FuzzQuery -fuzztime 10s
+	$(GO) test ./internal/csvio -fuzz FuzzCSV -fuzztime 10s
 
 bench:
 	$(GO) test -bench . -benchmem ./...
@@ -42,14 +43,6 @@ bench-check:
 # benchmark) — catches benchmarks that no longer build or crash.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 50ms ./internal/join/ ./internal/prefetch/ ./internal/page/
-
-# Scan-versus-sweep kernel comparison: Go micro-benchmarks for both
-# kernels plus the vtbench kernel figure, which differentially verifies
-# the kernels against each other and writes BENCH_pr3.json (wall clock,
-# CPU time per phase, allocations via -benchmem).
-bench-compare:
-	$(GO) test -run '^$$' -bench 'ProbeBatch|Matcher' -benchmem ./internal/join/
-	$(GO) run ./cmd/vtbench -figure kernels -scale 64 -benchjson BENCH_pr3.json
 
 # Mid-query abort smoke: the chaos matrix (every algorithm × engine ×
 # kernel aborted by cancellation, deadline and permanent faults) under
@@ -71,27 +64,21 @@ chaos-smoke:
 # Time-sharded execution smoke: the shard test matrix (differential
 # identity vs the unsharded reference across algorithms × kernels ×
 # predicates, ordering determinism, per-shard I/O vs a composed
-# reference, and the K-device chaos strikes) under the race detector,
-# then the multi-core scaling figure end to end, whose checksum column
-# self-verifies sharded-vs-unsharded result identity.
+# reference, and the K-device chaos strikes) under the race detector.
 shard-smoke:
 	$(GO) test -race -count=1 ./internal/shard/
-	$(GO) run ./cmd/vtbench -figure shards -scale 8 -benchjson BENCH_pr7.json
 
 # Compressed page codec smoke: the v2 codec unit suite, the
 # format differential matrix (3 algorithms × 2 kernels × 8 predicate
 # masks, run twice under v1 for byte + counter identity and once under
-# v2 for result identity), the v2 fault matrix, short runs of both v2
-# fuzz targets, then the codec figure end to end — which stores every
-# workload under both formats and refuses to report a compression
-# ratio unless the result checksums agree.
+# v2 for result identity), the v2 fault matrix, the v1/v2 occupancy
+# test, and short runs of both v2 fuzz targets.
 codec-smoke:
 	$(GO) test -race -count=1 \
-		-run 'TestV2|TestCodecDifferential|TestFromBytesRejects|TestParseFormat|TestFigureCodec' \
-		./internal/page/ ./internal/join/ ./internal/experiments/
+		-run 'TestV2|TestCodecDifferential|TestFromBytesRejects|TestParseFormat' \
+		./internal/page/ ./internal/join/ ./internal/relation/
 	$(GO) test ./internal/page -fuzz FuzzV2RoundTrip -fuzztime 10s
 	$(GO) test ./internal/page -fuzz FuzzV2CorruptImage -fuzztime 10s
-	$(GO) run ./cmd/vtbench -figure codec -scale 64 -benchjson BENCH_pr8.json
 
 # End-to-end EXPLAIN/trace smoke: generate a small input pair, run
 # every algorithm with -explain -audit -trace, and let vtjoin's own
@@ -152,15 +139,15 @@ serve-smoke:
 		|| { echo "no clean-shutdown verification in server log:"; cat $$tmp/server.log; exit 1; }; \
 	echo "serve-smoke: $$rows rows served, cancelled query aborted, clean shutdown verified"
 
-# Subscription smoke: the incremental-view, server and steady-state
-# harness suites under the race detector, then a real server process
-# with a live subscriber — open a subscription, append a batch, assert
-# the delta rows arrive on the stream, close client-side — and a
-# SIGTERM drain whose clean-shutdown invariants (pool balanced, zero
-# leaked files, zero open subscriptions) the server verifies itself.
+# Subscription smoke: the incremental-view and server suites (the
+# subscriber-fleet delta test among them) under the race detector, then
+# a real server process with a live subscriber — open a subscription,
+# append a batch, assert the delta rows arrive on the stream, close
+# client-side — and a SIGTERM drain whose clean-shutdown invariants
+# (pool balanced, zero leaked files, zero open subscriptions) the
+# server verifies itself.
 subs-smoke:
 	$(GO) test -race -count=1 ./internal/incremental/ ./internal/serve/
-	$(GO) test -race -count=1 -run TestRunFigureSubsSmall ./internal/experiments/
 	@tmp=$$(mktemp -d); \
 	trap 'rm -rf "$$tmp"' EXIT; \
 	$(GO) build -o $$tmp/vtserve ./cmd/vtserve || exit 1; \

@@ -10,7 +10,15 @@
 //
 // Null values (outer-join padding) are written as the sentinel "␀"
 // (U+2400 SYMBOL FOR NULL), which round-trips regardless of the
-// column's declared kind.
+// column's declared kind. A string value made only of k ≥ 1 sentinels
+// is written as k+1 of them, so it does not read back as null.
+//
+// The reader (encoding/csv) drops the '\r' of every "\r\n" it reads,
+// inside quoted fields too, so a string value or column name is written
+// with one more '\r' before each "\r\n" it contains.
+//
+// A column name may contain ':'; the kind is the text after the last
+// one.
 package csvio
 
 import (
@@ -40,7 +48,7 @@ const NowSentinel = "now"
 func FormatHeader(s *schema.Schema) []string {
 	out := []string{"vs", "ve"}
 	for _, c := range s.Columns() {
-		out = append(out, c.Name+":"+c.Kind.String())
+		out = append(out, keepCRLF(c.Name)+":"+c.Kind.String())
 	}
 	return out
 }
@@ -52,15 +60,15 @@ func ParseHeader(rec []string) (*schema.Schema, error) {
 	}
 	var cols []schema.Column
 	for _, f := range rec[2:] {
-		name, kindName, ok := strings.Cut(f, ":")
-		if !ok {
+		i := strings.LastIndexByte(f, ':')
+		if i < 0 {
 			return nil, fmt.Errorf("csvio: header column %q is not name:kind", f)
 		}
-		k, err := value.ParseKind(kindName)
+		k, err := value.ParseKind(f[i+1:])
 		if err != nil {
 			return nil, fmt.Errorf("csvio: header column %q: %w", f, err)
 		}
-		cols = append(cols, schema.Column{Name: name, Kind: k})
+		cols = append(cols, schema.Column{Name: f[:i], Kind: k})
 	}
 	return schema.New(cols...)
 }
@@ -121,13 +129,40 @@ func formatRecord(rec []string, t tuple.Tuple) []string {
 		rec[1] = strconv.FormatInt(int64(t.V.End), 10)
 	}
 	for i, v := range t.Values {
-		if v.IsNull() {
+		switch {
+		case v.IsNull():
 			rec[2+i] = NullSentinel
-		} else {
+		case v.Kind() == value.KindString && sentinelRun(v.AsString()):
+			rec[2+i] = v.AsString() + NullSentinel
+		case v.Kind() == value.KindString:
+			rec[2+i] = keepCRLF(v.AsString())
+		default:
 			rec[2+i] = v.Text()
 		}
 	}
 	return rec
+}
+
+// keepCRLF doubles the '\r' of every "\r\n" in s, which the reader
+// turns back into s.
+func keepCRLF(s string) string {
+	if !strings.Contains(s, "\r\n") {
+		return s
+	}
+	return strings.ReplaceAll(s, "\r\n", "\r\r\n")
+}
+
+// sentinelRun reports whether s is k ≥ 1 copies of NullSentinel.
+func sentinelRun(s string) bool {
+	if s == "" {
+		return false
+	}
+	for ; s != ""; s = s[len(NullSentinel):] {
+		if !strings.HasPrefix(s, NullSentinel) {
+			return false
+		}
+	}
+	return true
 }
 
 // Read loads a CSV relation onto d.
@@ -188,11 +223,15 @@ func ReadTuples(rd io.Reader) (*schema.Schema, []tuple.Tuple, error) {
 		}
 		vals := make([]value.Value, s.Len())
 		for i := 0; i < s.Len(); i++ {
-			if rec[2+i] == NullSentinel {
+			f := rec[2+i]
+			if f == NullSentinel {
 				vals[i] = value.Null()
 				continue
 			}
-			v, err := value.Parse(s.Column(i).Kind, rec[2+i])
+			if s.Column(i).Kind == value.KindString && sentinelRun(f) {
+				f = f[len(NullSentinel):]
+			}
+			v, err := value.Parse(s.Column(i).Kind, f)
 			if err != nil {
 				return nil, nil, fmt.Errorf("csvio: line %d column %q: %w", line, s.Column(i).Name, err)
 			}

@@ -32,7 +32,7 @@ type Row struct {
 
 // buildPair constructs the two input relations for one run.
 func buildPair(p Params, longLivedScaled int) (*disk.Disk, *relation.Relation, *relation.Relation, error) {
-	d := p.NewDevice()
+	d := disk.New(p.PageSize)
 	r, err := p.Spec(longLivedScaled, p.Seed+1).Build(d)
 	if err != nil {
 		return nil, nil, nil, err

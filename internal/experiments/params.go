@@ -14,8 +14,6 @@ import (
 	"context"
 	"fmt"
 
-	"vtjoin/internal/disk"
-	"vtjoin/internal/page"
 	"vtjoin/internal/workload"
 )
 
@@ -50,23 +48,6 @@ type Params struct {
 	// Audit on or off — it only converts silent accounting bugs into
 	// errors.
 	Audit bool
-	// PageFormat is the page codec relations are written in (zero =
-	// FormatV1, the classic slotted layout). The paper's figures are
-	// defined over page counts, so the codec changes figure costs only
-	// through occupancy: v2 packs more tuples per page on compressible
-	// workloads.
-	PageFormat page.Format
-}
-
-// NewDevice creates the simulated device for one run, carrying the
-// experiment's page format so every relation built on it inherits the
-// codec.
-func (p Params) NewDevice() *disk.Disk {
-	d := disk.New(p.PageSize)
-	if p.PageFormat != 0 {
-		d.SetPageFormat(p.PageFormat)
-	}
-	return d
 }
 
 // FullScale are the paper's parameters at Scale 1.

@@ -1,6 +1,7 @@
 package join
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -27,12 +28,16 @@ type outcome struct {
 }
 
 // runOutcome runs algo over freshly loaded inputs with 16 pages, the
-// sampling seed 3 and the rest of spec, and records the outcome.
+// sampling seed 3 and the rest of spec, and records the outcome. A nil
+// sTuples joins r with itself.
 func runOutcome(t *testing.T, algo Algorithm, rTuples, sTuples []tuple.Tuple, spec Spec) outcome {
 	t.Helper()
 	d := disk.New(page.DefaultSize)
 	r := load(t, d, empSchema, rTuples)
-	s := load(t, d, deptSchema, sTuples)
+	s := r
+	if sTuples != nil {
+		s = load(t, d, deptSchema, sTuples)
+	}
 	d.ResetCounters()
 	var sink relation.CollectSink
 	spec.MemoryPages, spec.Weights, spec.Rng = 16, cost.Ratio(5), rand.New(rand.NewSource(3))
@@ -53,7 +58,8 @@ func runOutcome(t *testing.T, algo Algorithm, rTuples, sTuples []tuple.Tuple, sp
 // sequential evaluation. Each algorithm runs twice on identically built
 // inputs — Sequential=true versus Sequential=false — and both the
 // device counters (down to every field) and the canonicalized results
-// must match exactly.
+// must match exactly. The self-join r ⋈ r runs under both kernels: its
+// two inputs are one file, which concurrent passes would interleave.
 func TestConcurrentEngineMatchesSequential(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
 	w := workload{keys: 24, n: 2500, longEvery: 6, lifespan: 200000}
@@ -61,26 +67,38 @@ func TestConcurrentEngineMatchesSequential(t *testing.T) {
 	rTuples := w.generate(rng, 0)
 	sTuples := w.generate(rng, 1)
 
-	run := func(algo Algorithm, sequential bool) outcome {
-		return runOutcome(t, algo, rTuples, sTuples, Spec{Sequential: sequential})
+	cases := []struct {
+		name    string
+		s       []tuple.Tuple
+		kernels []Kernel
+	}{
+		{"r⋈s", sTuples, []Kernel{KernelSweep}},
+		{"r⋈r", nil, []Kernel{KernelSweep, KernelScan}},
 	}
-
-	for _, algo := range Algorithms {
-		seq := run(algo, true)
-		for trial := 0; trial < 3; trial++ {
-			conc := run(algo, false)
-			if conc.counters != seq.counters {
-				t.Fatalf("%s trial %d: concurrent counters %v != sequential %v",
-					algo, trial, conc.counters, seq.counters)
-			}
-			if len(conc.results) != len(seq.results) {
-				t.Fatalf("%s trial %d: %d results, sequential produced %d",
-					algo, trial, len(conc.results), len(seq.results))
-			}
-			for i := range seq.results {
-				if conc.results[i] != seq.results[i] {
-					t.Fatalf("%s trial %d: result %d differs:\n got %v\nwant %v",
-						algo, trial, i, conc.results[i], seq.results[i])
+	for _, c := range cases {
+		for _, algo := range Algorithms {
+			for _, kernel := range c.kernels {
+				run := func(sequential bool) outcome {
+					return runOutcome(t, algo, rTuples, c.s, Spec{Sequential: sequential, Kernel: kernel})
+				}
+				label := fmt.Sprintf("%s %s/%s", c.name, algo, kernel)
+				seq := run(true)
+				for trial := 0; trial < 3; trial++ {
+					conc := run(false)
+					if conc.counters != seq.counters {
+						t.Fatalf("%s trial %d: concurrent counters %v != sequential %v",
+							label, trial, conc.counters, seq.counters)
+					}
+					if len(conc.results) != len(seq.results) {
+						t.Fatalf("%s trial %d: %d results, sequential produced %d",
+							label, trial, len(conc.results), len(seq.results))
+					}
+					for i := range seq.results {
+						if conc.results[i] != seq.results[i] {
+							t.Fatalf("%s trial %d: result %d differs:\n got %v\nwant %v",
+								label, trial, i, conc.results[i], seq.results[i])
+						}
+					}
 				}
 			}
 		}

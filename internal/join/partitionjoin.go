@@ -92,9 +92,9 @@ func Partition(r, s *relation.Relation, sink relation.Sink, cfg Spec) (*cost.Rep
 	tr.End()
 	meter.EndPhase("sample")
 
-	// Phase 2: Grace-partition both relations (Section 3.2). The two
-	// passes read disjoint inputs and write disjoint partition files,
-	// so they run concurrently with identical I/O accounting.
+	// Phase 2: Grace-partition both relations (Section 3.2). Over
+	// disjoint inputs the two passes run concurrently with identical I/O
+	// accounting; DoPartitioningPair serializes them for a self-join.
 	tr.Begin("partition")
 	engine := "concurrent"
 	if cfg.Sequential {

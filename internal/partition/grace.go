@@ -60,38 +60,43 @@ func DoPartitioning(ctx context.Context, r *relation.Relation, part Partitioning
 }
 
 // DoPartitioningPair Grace-partitions r and s under the same
-// partitioning, running the two passes concurrently — the passes scan
-// disjoint input files and flush to disjoint partition files, so their
-// per-file access sequences (and therefore the counted I/O) are
-// identical to two back-to-back sequential passes. Both sets of
+// partitioning. When r and s are different files the two passes run
+// concurrently: they scan disjoint input files and flush to disjoint
+// partition files, so their per-file access sequences (and therefore
+// the counted I/O) are identical to two back-to-back sequential passes.
+// A self-join (r and s the same file on the same device) runs the
+// passes back to back instead, because interleaved scans of one file
+// would turn its sequential reads into random ones. Both sets of
 // partition files are created up front on the caller's goroutine, which
 // keeps file-ID assignment deterministic regardless of scheduling.
-// Both fill goroutines check ctx between input pages and recover their
-// own panics, so a cancelled or crashing pass joins cleanly: the
-// goroutines exit, the error surfaces on the caller's goroutine, and
-// all partition files of both sides are dropped.
+// Each pass checks ctx between input pages and recovers its own panics,
+// so a cancelled or crashing pass returns cleanly: the error surfaces
+// on the caller's goroutine, and all partition files of both sides are
+// dropped.
 func DoPartitioningPair(ctx context.Context, r, s *relation.Relation, part Partitioning) (*Partitioned, *Partitioned, error) {
 	rp := newPartitioned(r, part)
 	sp := newPartitioned(s, part)
-	errs := make(chan error, 2)
-	pass := func(p *Partitioned, rel *relation.Relation) {
-		var err error
-		defer func() { errs <- err }()
+	pass := func(p *Partitioned, rel *relation.Relation) (err error) {
 		defer execctx.RecoverTo("partition: fill", &err)
-		err = p.fill(ctx, rel)
+		return p.fill(ctx, rel)
 	}
-	go pass(rp, r)
-	go pass(sp, s)
-	var firstErr error
-	for i := 0; i < 2; i++ {
-		if err := <-errs; err != nil && firstErr == nil {
-			firstErr = err
+	var err error
+	if r.Disk() == s.Disk() && r.File() == s.File() {
+		if err = pass(rp, r); err == nil {
+			err = pass(sp, s)
+		}
+	} else {
+		sErr := make(chan error, 1)
+		go func() { sErr <- pass(sp, s) }()
+		err = pass(rp, r)
+		if e := <-sErr; err == nil {
+			err = e
 		}
 	}
-	if firstErr != nil {
+	if err != nil {
 		_ = rp.Drop()
 		_ = sp.Drop()
-		return nil, nil, firstErr
+		return nil, nil, err
 	}
 	return rp, sp, nil
 }

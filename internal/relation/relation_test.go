@@ -299,3 +299,58 @@ func TestLargeRandomRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// TestV2Occupancy stores the same tuples under page formats v1 and v2.
+// On a high-overlap keyed set (64 shared keys, identical padding) the
+// per-page dictionary must pack at least 1.3× v1's tuples per page; on
+// an incompressible set (unique keys, random padding) v2 falls back to
+// plain encoding and must use no more pages than v1.
+func TestV2Occupancy(t *testing.T) {
+	sch := schema.MustNew(
+		schema.Column{Name: "key", Kind: value.KindInt},
+		schema.Column{Name: "id", Kind: value.KindInt},
+		schema.Column{Name: "pad", Kind: value.KindBytes},
+	)
+	const n, lifespan = 4096, 1_000_000
+	gen := func(seed int64, keyed bool) []tuple.Tuple {
+		rng := rand.New(rand.NewSource(seed))
+		pad := make([]byte, 96)
+		out := make([]tuple.Tuple, n)
+		for i := range out {
+			st := chronon.Chronon(rng.Int63n(lifespan))
+			iv := chronon.At(st)
+			key := int64(i)
+			if keyed {
+				key = rng.Int63n(64)
+				if i%4 == 0 {
+					st = chronon.Chronon(rng.Int63n(lifespan / 2))
+					iv = chronon.New(st, st+lifespan/2)
+				}
+			} else {
+				pad = make([]byte, 96)
+				rng.Read(pad)
+			}
+			out[i] = tuple.New(iv, value.Int(key), value.Int(int64(i)), value.Bytes(pad))
+		}
+		return out
+	}
+	pages := func(ts []tuple.Tuple, f page.Format) int {
+		d := disk.New(page.DefaultSize)
+		d.SetPageFormat(f)
+		r, err := FromTuples(d, sch, ts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return mustPages(t, r)
+	}
+
+	keyed := gen(1, true)
+	v1, v2 := pages(keyed, page.FormatV1), pages(keyed, page.FormatV2)
+	if ratio := float64(v1) / float64(v2); ratio < 1.3 {
+		t.Errorf("high-overlap keyed: v2 holds %.2f× v1's tuples per page (%d vs %d pages), want >= 1.3", ratio, v2, v1)
+	}
+	sparse := gen(2, false)
+	if v1, v2 := pages(sparse, page.FormatV1), pages(sparse, page.FormatV2); v2 > v1 {
+		t.Errorf("incompressible: v2 uses %d pages, v1 %d", v2, v1)
+	}
+}

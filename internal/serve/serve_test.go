@@ -400,6 +400,102 @@ func TestHTTPQueryRoundTrip(t *testing.T) {
 	}
 }
 
+// TestConcurrentServedAnswers: eight clients post the serve mix at once
+// — the join under three algorithms × two kernels, a difference and an
+// aggregate — to a server whose pool admits four queries, retrying on
+// 503. Every served answer must equal a direct plan2.Run of its query.
+func TestConcurrentServedAnswers(t *testing.T) {
+	srv, d := newTestServer(t, Config{TotalMemoryPages: 64, QueryMemoryPages: 16})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	var mix []string
+	for _, algo := range []string{"partition", "sortmerge", "nestedloop"} {
+		for _, kernel := range []string{"sweep", "scan"} {
+			mix = append(mix, fmt.Sprintf("scan r | join scan s using %s kernel %s memory 16", algo, kernel))
+		}
+	}
+	mix = append(mix,
+		"scan r | diff (scan r | select key < 8)",
+		"scan r | join scan s using sortmerge memory 16 | aggregate count")
+
+	const rounds = 3
+	served := make([][rounds][]tuple.Tuple, len(mix))
+	errs := make([]error, len(mix))
+	var wg sync.WaitGroup
+	for i, q := range mix {
+		wg.Add(1)
+		go func(i int, q string) {
+			defer wg.Done()
+			for r := 0; r < rounds && errs[i] == nil; r++ {
+				served[i][r], errs[i] = postQuery(ts.URL, q)
+			}
+		}(i, q)
+	}
+	wg.Wait()
+
+	for i, q := range mix {
+		if errs[i] != nil {
+			t.Fatalf("%q: %v", q, errs[i])
+		}
+		pipe, err := query.Parse(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		root, err := plan2.Bind(pipe, srv.Catalog())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want []tuple.Tuple
+		if _, err := plan2.Run(plan2.Config{Disk: d, MemoryPages: 16}, root, func(tp tuple.Tuple) error {
+			want = append(want, tp.Clone())
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if len(want) == 0 {
+			t.Fatalf("%q: direct execution returned no rows", q)
+		}
+		for r := range served[i] {
+			equalRowSets(t, fmt.Sprintf("%q round %d", q, r), served[i][r], want)
+		}
+	}
+	if used := srv.Stats().PoolUsed; used != 0 {
+		t.Errorf("pool used = %d pages after the load, want 0", used)
+	}
+}
+
+// postQuery posts q to /query until admission lets it in and returns
+// the served rows.
+func postQuery(base, q string) ([]tuple.Tuple, error) {
+	for deadline := time.Now().Add(30 * time.Second); time.Now().Before(deadline); {
+		resp, err := http.Post(base+"/query", "text/plain", strings.NewReader(q))
+		if err != nil {
+			return nil, err
+		}
+		if resp.StatusCode == http.StatusServiceUnavailable {
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			time.Sleep(time.Millisecond)
+			continue
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			body, _ := io.ReadAll(resp.Body)
+			return nil, fmt.Errorf("status %d: %s", resp.StatusCode, body)
+		}
+		_, rows, err := csvio.ReadTuples(resp.Body)
+		if err != nil {
+			return nil, err
+		}
+		if st := resp.Trailer.Get("X-Vtserve-Status"); st != "ok" {
+			return nil, fmt.Errorf("trailer status %q", st)
+		}
+		return rows, nil
+	}
+	return nil, errors.New("still rejected after 30s")
+}
+
 func sortTuples(ts []tuple.Tuple) {
 	sort.Slice(ts, func(i, j int) bool { return ts[i].Compare(ts[j]) < 0 })
 }

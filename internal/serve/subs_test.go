@@ -266,6 +266,73 @@ func TestSubscribeSelfJoin(t *testing.T) {
 	equalRowSets(t, "self-join deltas", ss.tuples(), want)
 }
 
+// TestSubscribeFleetDeltas: every subscriber in a fleet of 1 and of 4
+// is streamed, per append to either side, exactly the rows the join
+// gains by it. The final state does not depend on the fleet size, and
+// teardown returns every view's pages to the pool and drops its files.
+func TestSubscribeFleetDeltas(t *testing.T) {
+	const q = "scan r | join scan s"
+	appends := []struct{ rel, body string }{
+		{"r", "vs,ve,key:int,a:int\n0,500,3,9001\n100,900,7,9002\n"},
+		{"s", "vs,ve,key:int,b:int\n0,999,3,9100\n40,60,11,9101\n"},
+		{"r", "vs,ve,key:int,a:int\n20,300,11,9003\n"},
+		{"s", "vs,ve,key:int,b:int\n5,700,7,9102\n"},
+	}
+	fleet := func(n int) []tuple.Tuple {
+		srv, d := newTestServer(t, Config{})
+		ts := httptest.NewServer(srv.Handler())
+		t.Cleanup(ts.Close)
+		baseline := len(d.LiveFiles())
+		subs := make([]*subStream, n)
+		for i := range subs {
+			subs[i] = openSub(t, ts.URL, "q="+url.QueryEscape(q))
+		}
+		before := mustExecute(t, srv, q)
+		delivered := 0
+		for a, ap := range appends {
+			res := appendCSV(t, ts.URL, ap.rel, ap.body)
+			after := mustExecute(t, srv, q)
+			want := subtractRows(after, before)
+			if res.Subscribers != n || res.DeltaRows != int64(n*len(want)) {
+				t.Fatalf("%d subscribers, append %d: result %+v, reference gained %d rows", n, a, res, len(want))
+			}
+			for i, ss := range subs {
+				ss.lines = nil
+				ss.readRows(len(want))
+				equalRowSets(t, fmt.Sprintf("%d subscribers: subscriber %d, append %d", n, i, a), ss.tuples(), want)
+			}
+			delivered += len(want)
+			before = after
+		}
+		if delivered == 0 {
+			t.Fatal("test appends joined nothing — keys no longer overlap the base data")
+		}
+
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		if err := srv.Drain(ctx); err != nil {
+			t.Fatalf("%d subscribers: drain: %v", n, err)
+		}
+		for i, ss := range subs {
+			if status, rows := ss.finish(); status != "draining" || rows != delivered {
+				t.Fatalf("%d subscribers: subscriber %d ended %q after %d rows, want draining after %d",
+					n, i, status, rows, delivered)
+			}
+		}
+		st := srv.Stats()
+		if st.PoolUsed != 0 || st.SubsOpen != 0 || st.SubsClosed != int64(n) {
+			t.Fatalf("%d subscribers: after teardown %d pool pages, %d open, %d closed — want 0/0/%d",
+				n, st.PoolUsed, st.SubsOpen, st.SubsClosed, n)
+		}
+		if live := len(d.LiveFiles()); live != baseline {
+			t.Fatalf("%d subscribers: %d live files after teardown, baseline %d", n, live, baseline)
+		}
+		return before
+	}
+	one := fleet(1)
+	equalRowSets(t, "final state of 4 subscribers vs 1", fleet(4), one)
+}
+
 // TestSubscribeInitialSnapshot: initial=1 streams the view's current
 // contents before any deltas, equal to a from-scratch execution.
 func TestSubscribeInitialSnapshot(t *testing.T) {
