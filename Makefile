@@ -42,7 +42,7 @@ bench-check:
 # Quick micro-benchmark pass (compile + a short run of every
 # benchmark) — catches benchmarks that no longer build or crash.
 bench-smoke:
-	$(GO) test -run '^$$' -bench . -benchtime 50ms ./internal/join/ ./internal/prefetch/ ./internal/page/
+	$(GO) test -run '^$$' -bench . -benchtime 50ms ./internal/join/ ./internal/prefetch/ ./internal/page/ ./internal/partition/
 
 # Mid-query abort smoke: the chaos matrix (every algorithm × engine ×
 # kernel aborted by cancellation, deadline and permanent faults) under

@@ -76,10 +76,7 @@ func TestFigure6Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := RunFigure6(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := memoized(t, "6", p, RunFigure6)
 	if len(rows) != len(Figure6MemoryMB)*len(Figure6Ratios)*3 {
 		t.Fatalf("got %d rows", len(rows))
 	}
@@ -120,11 +117,7 @@ func TestFigure6Shape(t *testing.T) {
 }
 
 func TestFigure7Shape(t *testing.T) {
-	p := testParams(t)
-	rows, err := RunFigure7(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := memoized(t, "7", testParams(t), RunFigure7)
 	lls := Figure7LongLived()
 	first, last := lls[0], lls[len(lls)-1]
 
@@ -165,11 +158,7 @@ func TestFigure7Shape(t *testing.T) {
 }
 
 func TestFigure8Shape(t *testing.T) {
-	p := testParams(t)
-	rows, err := RunFigure8(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := memoized(t, "8", testParams(t), RunFigure8)
 	lls := Figure8LongLived()
 	spreadAt := func(mb int) float64 {
 		lo, hi := 1e18, 0.0
@@ -205,11 +194,15 @@ func TestFigure8Shape(t *testing.T) {
 }
 
 func TestFigure4Shape(t *testing.T) {
-	p := testParams(t)
-	points, err := RunFigure4(p)
+	// At scale 64 even the smallest candidate's sample costs more than
+	// one scan, so Csample is flat and its monotonicity holds
+	// trivially. At scale 16 the Kolmogorov demand crosses the scan
+	// cost inside the candidate range, so Csample rises.
+	p, err := Scaled(16)
 	if err != nil {
 		t.Fatal(err)
 	}
+	points := memoized(t, "4", p, RunFigure4)
 	if len(points) < 3 {
 		t.Fatalf("only %d candidate points", len(points))
 	}
@@ -232,6 +225,10 @@ func TestFigure4Shape(t *testing.T) {
 			t.Fatal("cache paging not monotonically non-increasing in partSize")
 		}
 	}
+	if first, last := points[0].Csample, points[len(points)-1].Csample; last <= first {
+		t.Fatalf("Csample does not rise over the candidates: %.0f at partSize %d, %.0f at partSize %d",
+			first, points[0].PartSize, last, points[len(points)-1].PartSize)
+	}
 	for _, pt := range points {
 		if pt.Total < chosenTotal-1e-9 {
 			t.Fatalf("chosen total %.0f is not minimal (partSize %d has %.0f)",
@@ -244,11 +241,7 @@ func TestFigure4Shape(t *testing.T) {
 }
 
 func TestAblationReplicationShape(t *testing.T) {
-	p := testParams(t)
-	rows, err := RunAblationReplication(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := memoized(t, "A", testParams(t), RunAblationReplication)
 	if len(rows) != len(Figure8LongLived()) {
 		t.Fatalf("%d rows", len(rows))
 	}
@@ -271,11 +264,7 @@ func TestAblationReplicationShape(t *testing.T) {
 }
 
 func TestAblationSamplingShape(t *testing.T) {
-	p := testParams(t)
-	rows, err := RunAblationSampling(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := memoized(t, "B", testParams(t), RunAblationSampling)
 	if len(rows) != len(Figure6Ratios) {
 		t.Fatalf("%d rows", len(rows))
 	}

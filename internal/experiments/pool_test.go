@@ -38,7 +38,9 @@ func TestMapTasksLowestIndexError(t *testing.T) {
 
 // TestFiguresWorkerDeterminism asserts the harness invariant: every
 // figure emits identical rows regardless of the worker count, because
-// each data point builds its own relations on its own device.
+// each data point builds its own relations on its own device. The
+// sequential side comes from the memo the shape and golden tests fill,
+// so only the Workers = 4 side is computed here.
 func TestFiguresWorkerDeterminism(t *testing.T) {
 	p := testParams(t)
 	base := p
@@ -50,16 +52,13 @@ func TestFiguresWorkerDeterminism(t *testing.T) {
 		name string
 		run  func(Params) ([]Row, error)
 	}{
-		{"figure6", RunFigure6},
-		{"figure7", RunFigure7},
-		{"figure8", RunFigure8},
+		{"6", RunFigure6},
+		{"7", RunFigure7},
+		{"8", RunFigure8},
 	}
 	for _, fig := range figures {
-		t.Run(fig.name, func(t *testing.T) {
-			want, err := fig.run(base)
-			if err != nil {
-				t.Fatal(err)
-			}
+		t.Run("figure"+fig.name, func(t *testing.T) {
+			want := memoized(t, fig.name, base, fig.run)
 			got, err := fig.run(par)
 			if err != nil {
 				t.Fatal(err)

@@ -12,14 +12,15 @@ import (
 // a partitioning of the valid-time line from the timestamps of sampled
 // tuples so that each partition covers approximately the same number of
 // tuples. Cut chronons are equi-depth quantiles of the multiset of
-// chronons covered by the sample (computed exactly by a sweep — see
-// sampling.CoverageQuantiles). Fewer than numPartitions partitions may
-// result when the sample cannot support that many distinct boundaries.
-func ChooseIntervals(sampleIntervals []chronon.Interval, numPartitions int) (Partitioning, error) {
+// chronons covered by the sample, read from its coverage (see
+// sampling.Coverage), which callers build once per sample. Fewer than
+// numPartitions partitions may result when the sample cannot support
+// that many distinct boundaries.
+func ChooseIntervals(sample *sampling.Coverage, numPartitions int) (Partitioning, error) {
 	if numPartitions < 1 {
 		return Partitioning{}, fmt.Errorf("partition: numPartitions must be >= 1, got %d", numPartitions)
 	}
-	cuts, err := sampling.CoverageQuantiles(sampleIntervals, numPartitions)
+	cuts, err := sample.Quantiles(numPartitions)
 	if err != nil {
 		return Partitioning{}, err
 	}

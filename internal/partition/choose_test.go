@@ -4,7 +4,17 @@ import (
 	"testing"
 
 	"vtjoin/internal/chronon"
+	"vtjoin/internal/sampling"
 )
+
+func mustCoverage(t *testing.T, sample []chronon.Interval) *sampling.Coverage {
+	t.Helper()
+	c, err := sampling.NewCoverage(sample)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
 
 func TestChooseIntervalsUniform(t *testing.T) {
 	// 1000 unit tuples uniformly over [0, 999]: 4 partitions should cut
@@ -13,7 +23,7 @@ func TestChooseIntervalsUniform(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		in = append(in, chronon.At(chronon.Chronon(i)))
 	}
-	p, err := ChooseIntervals(in, 4)
+	p, err := ChooseIntervals(mustCoverage(t, in), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +48,7 @@ func TestChooseIntervalsBalancesSkew(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		in = append(in, chronon.At(chronon.Chronon(100+i*9)))
 	}
-	p, err := ChooseIntervals(in, 4)
+	p, err := ChooseIntervals(mustCoverage(t, in), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +68,7 @@ func TestChooseIntervalsBalancesSkew(t *testing.T) {
 func TestChooseIntervalsDegenerate(t *testing.T) {
 	// All tuples at one chronon: only one boundary is supportable.
 	in := []chronon.Interval{chronon.At(7), chronon.At(7), chronon.At(7)}
-	p, err := ChooseIntervals(in, 5)
+	p, err := ChooseIntervals(mustCoverage(t, in), 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,14 +76,14 @@ func TestChooseIntervalsDegenerate(t *testing.T) {
 		t.Fatalf("N = %d, want <= 2 for single-chronon coverage", p.N())
 	}
 	// Empty sample: trivial partitioning.
-	p, err = ChooseIntervals(nil, 5)
+	p, err = ChooseIntervals(mustCoverage(t, nil), 5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if p.N() != 1 {
 		t.Fatalf("empty sample: N = %d", p.N())
 	}
-	if _, err := ChooseIntervals(in, 0); err == nil {
+	if _, err := ChooseIntervals(mustCoverage(t, in), 0); err == nil {
 		t.Fatal("numPartitions=0 accepted")
 	}
 }

@@ -33,9 +33,12 @@ type PlanConfig struct {
 	// paper's Appendix A.2 evaluates every partSize from 1 to buffSize;
 	// the cost curve is the sum of a monotonically increasing sampling
 	// cost and a monotonically decreasing cache-paging cost (Figure 4),
-	// so a coarser grid finds a near-minimal candidate at a fraction of
-	// the planning CPU time. Zero selects an automatic step of about
-	// buffSize/64.
+	// so a coarser grid finds a near-minimal candidate. A grid still
+	// pays: the sample's endpoints are sorted once, but every candidate
+	// walks them and passes over the sample to estimate cache sizes, and
+	// at the paper's full scale an exhaustive loop would score 2,048 to
+	// 8,192 candidates against a 262,144-tuple sample. Zero selects an
+	// automatic step of buffSize/64, which is 1 below 128 pages.
 	CandidateStep int
 	// TuplesPerPage converts tuple-count estimates to pages. If zero it
 	// is derived from the relation (tuples / pages).
@@ -100,7 +103,13 @@ type incrementalSampler struct {
 	// sample without-replacement; drawing each top-up independently
 	// would re-admit earlier tuples and bias later candidates'
 	// quantiles toward a with-replacement distribution.
-	drawer   *sampling.Drawer
+	drawer *sampling.Drawer
+	// cov is the coverage of the last sample handed out, which held
+	// covN intervals. ensure drops it whenever it changes drawn, so a
+	// plan sorts a sample's endpoints once however many candidates
+	// score against it.
+	cov      *sampling.Coverage
+	covN     int
 	scanned  bool
 	scanCost float64
 	spent    float64 // weighted I/O spent on sampling so far
@@ -186,6 +195,7 @@ func (s *incrementalSampler) ensure(m int) ([]chronon.Interval, error) {
 		}
 		s.rng.Shuffle(len(all), func(i, j int) { all[i], all[j] = all[j], all[i] })
 		s.drawn = all
+		s.cov = nil
 		s.scanned = true
 		s.spent += s.scanCost
 		s.tr.SetAttr("tuples", len(all))
@@ -210,9 +220,29 @@ func (s *incrementalSampler) ensure(m int) ([]chronon.Interval, error) {
 	for _, t := range sub {
 		s.drawn = append(s.drawn, t.V)
 	}
+	s.cov = nil
 	s.spent += float64(len(sub)) * s.w.Rand
 	s.topUps++
 	return s.drawn, nil
+}
+
+// sample is ensure plus the coverage of the returned sample. The
+// coverage is rebuilt only when the sample changed since the last call.
+// After the Section 4.2 scan every candidate gets the whole relation,
+// so the plan sorts its endpoints once.
+func (s *incrementalSampler) sample(m int) ([]chronon.Interval, *sampling.Coverage, error) {
+	set, err := s.ensure(m)
+	if err != nil {
+		return nil, nil, err
+	}
+	if s.cov == nil || s.covN != len(set) {
+		cov, err := sampling.NewCoverage(set)
+		if err != nil {
+			return nil, nil, err
+		}
+		s.cov, s.covN = cov, len(set)
+	}
+	return set, s.cov, nil
 }
 
 // DeterminePartIntervals is the paper's determinePartIntervals
@@ -312,11 +342,11 @@ func DeterminePartIntervals(r *relation.Relation, cfg PlanConfig) (*Plan, []Cand
 		if numPartitions < cfg.Shards {
 			numPartitions = cfg.Shards
 		}
-		sampleSet, err := sampler.ensure(wantSamples)
+		sampleSet, coverage, err := sampler.sample(wantSamples)
 		if err != nil {
 			return nil, nil, err
 		}
-		part, err := ChooseIntervals(sampleSet, numPartitions)
+		part, err := ChooseIntervals(coverage, numPartitions)
 		if err != nil {
 			return nil, nil, err
 		}

@@ -2,6 +2,7 @@ package partition
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"vtjoin/internal/chronon"
@@ -147,5 +148,65 @@ func TestSamplerPredicateBoundary(t *testing.T) {
 	}
 	if !smp.Sequential {
 		t.Fatalf("sampling.Draw(%d) did not scan", pages+1)
+	}
+}
+
+// TestSamplerCoverageFollowsSample pins when the planner's sampler
+// builds a coverage: once per change of the sample (each random top-up,
+// the scan), never again for candidates that get the same sample. It
+// also checks that the coverage handed out is the returned sample's.
+func TestSamplerCoverageFollowsSample(t *testing.T) {
+	d := disk.New(page.DefaultSize)
+	r := buildDistinctTimes(t, d, 1000)
+	pages := mustPages(t, r)
+	sample := func(s *incrementalSampler, m int) ([]chronon.Interval, *sampling.Coverage) {
+		t.Helper()
+		set, cov, err := s.sample(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := sampling.NewCoverage(set)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _ := cov.Quantiles(16)
+		want, _ := fresh.Quantiles(16)
+		if !slices.Equal(got, want) {
+			t.Fatalf("sample(%d): coverage quantiles %v, want those of the returned sample %v", m, got, want)
+		}
+		return set, cov
+	}
+
+	// Random draws only: each top-up changes the sample.
+	s, err := newIncrementalSampler(r, cost.Weights{Rand: 1, Seq: 1e9}, rand.New(rand.NewSource(3)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, c10 := sample(s, 10)
+	if _, c := sample(s, 10); c != c10 {
+		t.Fatal("coverage rebuilt although the sample did not change")
+	}
+	if _, c := sample(s, 50); c == c10 {
+		t.Fatal("coverage kept across a top-up")
+	}
+
+	// The scan inside ensure first returns a prefix of the shuffled
+	// relation, then the whole relation to every later request.
+	s, err = newIncrementalSampler(r, cost.Ratio(1), rand.New(rand.NewSource(4)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	set, prefix := sample(s, pages+1)
+	if !s.scanned || len(set) != pages+1 {
+		t.Fatalf("ensure(%d): scanned=%t, %d samples", pages+1, s.scanned, len(set))
+	}
+	set, whole := sample(s, pages+1)
+	if len(set) != 1000 || whole == prefix {
+		t.Fatalf("after the scan: %d samples, coverage rebuilt=%t", len(set), whole != prefix)
+	}
+	for _, m := range []int{1, pages, 1000} {
+		if _, c := sample(s, m); c != whole {
+			t.Fatalf("sample(%d) after the scan rebuilt the coverage", m)
+		}
 	}
 }

@@ -1,7 +1,9 @@
 package sampling
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"vtjoin/internal/chronon"
@@ -11,12 +13,16 @@ import (
 // every chronon covered by any sampled tuple, sorts it, and picks
 // equi-depth positions as partitioning chronons. Materializing that
 // multiset is infeasible for long-lived tuples (a single tuple may
-// cover millions of chronons), so CoverageQuantiles computes the same
-// quantiles exactly with a sweep over interval endpoints: between two
+// cover millions of chronons), so a Coverage computes the same
+// quantiles exactly from the interval endpoints: between two
 // consecutive endpoint events the coverage count is constant, so the
-// sorted multiset is a staircase whose ranks can be walked in
-// O(E log E). TestCoverageQuantilesMatchesNaive verifies equivalence
-// against the literal materialization.
+// sorted multiset is a staircase whose ranks can be walked. NewCoverage
+// sorts the E endpoint events once per sample, in O(E log E); each
+// Quantiles call then walks the staircase in O(E), so the planner,
+// which scores many candidate partition counts against one sample,
+// sorts once per sample rather than once per candidate.
+// TestCoverageQuantilesMatchesNaive verifies equivalence against the
+// literal materialization.
 
 // CoverageSize returns the size of the covered-chronon multiset, i.e.
 // the sum of the durations of the given intervals (null intervals
@@ -72,74 +78,87 @@ func boundOngoing(intervals []chronon.Interval) []chronon.Interval {
 	return out
 }
 
-// CoverageQuantiles returns the k-1 equi-depth quantile chronons of the
-// covered-chronon multiset of the given intervals: the elements at
-// ranks floor(j*N/k) for j = 1..k-1, where N is the multiset size.
-// Duplicates are removed, so fewer than k-1 chronons may be returned
-// (e.g. when a few chronons dominate the coverage). An empty result
-// means the coverage cannot support more than one partition. Ongoing
-// intervals participate with their ends clamped to the sampling
-// horizon (see boundOngoing).
-func CoverageQuantiles(intervals []chronon.Interval, k int) ([]chronon.Chronon, error) {
-	if k < 1 {
-		return nil, fmt.Errorf("sampling: need at least one partition, got %d", k)
-	}
+// Coverage is the covered-chronon multiset of a sample of intervals,
+// held as the staircase its endpoints form.
+type Coverage struct {
+	// steps is sorted by chronon: every chronon in
+	// [steps[i].at, steps[i+1].at) is covered steps[i].n times. The
+	// last step is where the coverage returns to zero.
+	steps []step
+	size  int64 // multiset size: the sum of the clamped durations
+}
+
+type step struct {
+	at chronon.Chronon
+	n  int64
+}
+
+// NewCoverage builds the coverage of the given intervals. Null
+// intervals contribute nothing, and ongoing intervals participate with
+// their ends clamped to the sampling horizon (see boundOngoing). It
+// errors when the multiset exceeds 2^62 chronons.
+func NewCoverage(intervals []chronon.Interval) (*Coverage, error) {
 	intervals = boundOngoing(intervals)
-	n, err := CoverageSize(intervals)
+	size, err := CoverageSize(intervals)
 	if err != nil {
 		return nil, err
 	}
-	if n == 0 || k == 1 {
-		return nil, nil
-	}
-
-	// Sweep events: coverage increases by delta at each chronon key.
-	type event struct {
-		at    chronon.Chronon
-		delta int64
-	}
-	events := make([]event, 0, 2*len(intervals))
+	// Sweep events: coverage rises by one at each start and falls by
+	// one just past each end.
+	events := make([]step, 0, 2*len(intervals))
 	for _, iv := range intervals {
 		if iv.IsNull() {
 			continue
 		}
-		events = append(events, event{iv.Start, 1})
-		events = append(events, event{iv.End + 1, -1})
+		events = append(events, step{iv.Start, 1}, step{iv.End + 1, -1})
 	}
-	sort.Slice(events, func(i, j int) bool { return events[i].at < events[j].at })
-
-	// Target ranks (1-based) within the sorted multiset.
-	targets := make([]int64, 0, k-1)
-	for j := 1; j < k; j++ {
-		rank := int64(j) * n / int64(k)
-		if rank < 1 {
-			rank = 1
+	slices.SortFunc(events, func(a, b step) int { return cmp.Compare(a.at, b.at) })
+	// Fold the events in place into steps, one per distinct chronon,
+	// each holding the running coverage.
+	steps := events[:0]
+	var coverage int64
+	for _, e := range events {
+		coverage += e.n
+		if len(steps) > 0 && steps[len(steps)-1].at == e.at {
+			steps[len(steps)-1].n = coverage
+		} else {
+			steps = append(steps, step{e.at, coverage})
 		}
-		targets = append(targets, rank)
 	}
+	return &Coverage{steps: steps, size: size}, nil
+}
+
+// Quantiles returns the k-1 equi-depth quantile chronons of the
+// coverage: the elements at ranks floor(j*N/k) for j = 1..k-1, where N
+// is the multiset size. Duplicates are removed, so fewer than k-1
+// chronons may be returned (e.g. when a few chronons dominate the
+// coverage). An empty result means the coverage cannot support more
+// than one partition.
+func (c *Coverage) Quantiles(k int) ([]chronon.Chronon, error) {
+	if k < 1 {
+		return nil, fmt.Errorf("sampling: need at least one partition, got %d", k)
+	}
+	if c.size == 0 || k == 1 {
+		return nil, nil
+	}
+	// rank is the 1-based rank of the j-th quantile within the sorted
+	// multiset.
+	rank := func(j int) int64 { return max(int64(j)*c.size/int64(k), 1) }
 
 	var out []chronon.Chronon
-	var coverage, consumed int64
-	ti := 0
-	for i := 0; i < len(events) && ti < len(targets); {
-		at := events[i].at
-		for i < len(events) && events[i].at == at {
-			coverage += events[i].delta
-			i++
-		}
-		if coverage == 0 || i >= len(events) {
+	var consumed int64
+	j := 1
+	for i := 0; i+1 < len(c.steps) && j < k; i++ {
+		at, coverage := c.steps[i].at, c.steps[i].n
+		if coverage == 0 {
 			continue
 		}
-		next := events[i].at
-		span := int64(next - at)
-		block := coverage * span // multiset elements in [at, next)
-		for ti < len(targets) && targets[ti] <= consumed+block {
-			offset := (targets[ti] - consumed - 1) / coverage
-			c := at + chronon.Chronon(offset)
-			if len(out) == 0 || out[len(out)-1] != c {
-				out = append(out, c)
+		block := coverage * int64(c.steps[i+1].at-at) // multiset elements in [at, next)
+		for ; j < k && rank(j) <= consumed+block; j++ {
+			q := at + chronon.Chronon((rank(j)-consumed-1)/coverage)
+			if len(out) == 0 || out[len(out)-1] != q {
+				out = append(out, q)
 			}
-			ti++
 		}
 		consumed += block
 	}
@@ -148,7 +167,7 @@ func CoverageQuantiles(intervals []chronon.Interval, k int) ([]chronon.Chronon, 
 
 // NaiveCoverageQuantiles is the paper's literal algorithm: materialize
 // the multiset, sort it, index equi-depth positions. Exponentially
-// slower than CoverageQuantiles; retained as the test oracle.
+// slower than Coverage.Quantiles; retained as the test oracle.
 func NaiveCoverageQuantiles(intervals []chronon.Interval, k int) ([]chronon.Chronon, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("sampling: need at least one partition, got %d", k)

@@ -1,7 +1,10 @@
 package sampling
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"vtjoin/internal/chronon"
@@ -13,6 +16,86 @@ func ivs(pairs ...int64) []chronon.Interval {
 		out = append(out, chronon.New(chronon.Chronon(pairs[i]), chronon.Chronon(pairs[i+1])))
 	}
 	return out
+}
+
+// coverageQuantiles composes the planner's two steps, building a
+// coverage and reading its quantiles, for the single-shot tests below.
+func coverageQuantiles(intervals []chronon.Interval, k int) ([]chronon.Chronon, error) {
+	c, err := NewCoverage(intervals)
+	if err != nil {
+		return nil, err
+	}
+	return c.Quantiles(k)
+}
+
+// sortPerCallQuantiles computes the quantiles in one step, rebuilding
+// and sorting the endpoint events on every call and walking them
+// without folding them into steps. It is the oracle that pins
+// Coverage.Quantiles to the same cuts.
+func sortPerCallQuantiles(intervals []chronon.Interval, k int) ([]chronon.Chronon, error) {
+	if k < 1 {
+		return nil, fmt.Errorf("sampling: need at least one partition, got %d", k)
+	}
+	intervals = boundOngoing(intervals)
+	n, err := CoverageSize(intervals)
+	if err != nil {
+		return nil, err
+	}
+	if n == 0 || k == 1 {
+		return nil, nil
+	}
+
+	// Sweep events: coverage increases by delta at each chronon key.
+	type event struct {
+		at    chronon.Chronon
+		delta int64
+	}
+	events := make([]event, 0, 2*len(intervals))
+	for _, iv := range intervals {
+		if iv.IsNull() {
+			continue
+		}
+		events = append(events, event{iv.Start, 1})
+		events = append(events, event{iv.End + 1, -1})
+	}
+	sort.Slice(events, func(i, j int) bool { return events[i].at < events[j].at })
+
+	// Target ranks (1-based) within the sorted multiset.
+	targets := make([]int64, 0, k-1)
+	for j := 1; j < k; j++ {
+		rank := int64(j) * n / int64(k)
+		if rank < 1 {
+			rank = 1
+		}
+		targets = append(targets, rank)
+	}
+
+	var out []chronon.Chronon
+	var coverage, consumed int64
+	ti := 0
+	for i := 0; i < len(events) && ti < len(targets); {
+		at := events[i].at
+		for i < len(events) && events[i].at == at {
+			coverage += events[i].delta
+			i++
+		}
+		if coverage == 0 || i >= len(events) {
+			continue
+		}
+		next := events[i].at
+		span := int64(next - at)
+		block := coverage * span // multiset elements in [at, next)
+		for ti < len(targets) && targets[ti] <= consumed+block {
+			offset := (targets[ti] - consumed - 1) / coverage
+			c := at + chronon.Chronon(offset)
+			if len(out) == 0 || out[len(out)-1] != c {
+				out = append(out, c)
+			}
+			ti++
+		}
+		consumed += block
+	}
+	return out, nil
 }
 
 func TestCoverageSize(t *testing.T) {
@@ -43,14 +126,14 @@ func TestCoverageSize(t *testing.T) {
 }
 
 func TestCoverageQuantilesValidation(t *testing.T) {
-	if _, err := CoverageQuantiles(ivs(0, 1), 0); err == nil {
+	if _, err := coverageQuantiles(ivs(0, 1), 0); err == nil {
 		t.Fatal("k=0 accepted")
 	}
-	got, err := CoverageQuantiles(nil, 4)
+	got, err := coverageQuantiles(nil, 4)
 	if err != nil || got != nil {
 		t.Fatalf("empty input: %v, %v", got, err)
 	}
-	got, err = CoverageQuantiles(ivs(0, 100), 1)
+	got, err = coverageQuantiles(ivs(0, 100), 1)
 	if err != nil || got != nil {
 		t.Fatalf("k=1: %v, %v", got, err)
 	}
@@ -62,7 +145,7 @@ func TestCoverageQuantilesUniform(t *testing.T) {
 	for i := int64(0); i < 100; i++ {
 		in = append(in, chronon.At(chronon.Chronon(i)))
 	}
-	got, err := CoverageQuantiles(in, 4)
+	got, err := coverageQuantiles(in, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +162,7 @@ func TestCoverageQuantilesUniform(t *testing.T) {
 
 func TestCoverageQuantilesSingleLongInterval(t *testing.T) {
 	// One interval [0, 999]: multiset is 0..999, median at 499.
-	got, err := CoverageQuantiles(ivs(0, 999), 2)
+	got, err := coverageQuantiles(ivs(0, 999), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +180,7 @@ func TestCoverageQuantilesSkew(t *testing.T) {
 		in = append(in, chronon.New(0, 9))
 	}
 	in = append(in, chronon.New(10, 99))
-	got, err := CoverageQuantiles(in, 2)
+	got, err := coverageQuantiles(in, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +193,7 @@ func TestCoverageQuantilesDeduplicates(t *testing.T) {
 	// All coverage on one chronon: every quantile is the same value and
 	// must collapse to a single cut.
 	in := []chronon.Interval{chronon.At(5), chronon.At(5), chronon.At(5), chronon.At(5)}
-	got, err := CoverageQuantiles(in, 4)
+	got, err := coverageQuantiles(in, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +212,7 @@ func TestCoverageQuantilesMatchesNaive(t *testing.T) {
 			in[i] = chronon.New(s, s+chronon.Chronon(rng.Intn(30)))
 		}
 		k := 1 + rng.Intn(10)
-		fast, err := CoverageQuantiles(in, k)
+		fast, err := coverageQuantiles(in, k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -156,7 +239,7 @@ func TestCoverageQuantilesSortedOutput(t *testing.T) {
 			s := chronon.Chronon(rng.Intn(1000))
 			in = append(in, chronon.New(s, s+chronon.Chronon(rng.Intn(500))))
 		}
-		got, err := CoverageQuantiles(in, 8)
+		got, err := coverageQuantiles(in, 8)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -179,11 +262,11 @@ func TestCoverageQuantilesOngoing(t *testing.T) {
 		chronon.NewOngoing(50),
 		chronon.NewOngoing(150),
 	}
-	got, err := CoverageQuantiles(in, 4)
+	got, err := coverageQuantiles(in, 4)
 	if err != nil {
 		t.Fatalf("ongoing intervals broke the sweep: %v", err)
 	}
-	want, err := CoverageQuantiles(ivs(0, 99, 100, 199, 50, 199, 150, 199), 4)
+	want, err := coverageQuantiles(ivs(0, 99, 100, 199, 50, 199, 150, 199), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +307,7 @@ func TestCoverageQuantilesAllOngoing(t *testing.T) {
 		chronon.NewOngoing(200),
 		chronon.NewOngoing(300),
 	}
-	got, err := CoverageQuantiles(in, 4)
+	got, err := coverageQuantiles(in, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,5 +315,89 @@ func TestCoverageQuantilesAllOngoing(t *testing.T) {
 		if c > 300 {
 			t.Fatalf("cut %d beyond the largest ongoing start (in %v)", c, got)
 		}
+	}
+}
+
+// TestCoverageQuantilesDifferential pins Coverage.Quantiles, for every
+// k from 1 to 64 against one coverage, to the sort-per-call oracle and
+// to the literal materialization, over random samples of fixed,
+// long-lived, ongoing, all-ongoing and null intervals, empty samples
+// included.
+func TestCoverageQuantilesDifferential(t *testing.T) {
+	rng := rand.New(rand.NewSource(33))
+	at := func(span int64) chronon.Chronon { return chronon.Chronon(rng.Int63n(span)) }
+	shapes := map[string]func() chronon.Interval{
+		"fixed": func() chronon.Interval {
+			s := at(120)
+			return chronon.New(s, s+at(4))
+		},
+		"longlived": func() chronon.Interval {
+			s := at(60)
+			if rng.Intn(4) == 0 {
+				return chronon.New(s, s+60+at(30))
+			}
+			return chronon.At(s + 30)
+		},
+		"ongoing": func() chronon.Interval {
+			s := at(100)
+			if rng.Intn(4) == 0 {
+				return chronon.NewOngoing(s)
+			}
+			return chronon.New(s, s+at(20))
+		},
+		"allongoing": func() chronon.Interval { return chronon.NewOngoing(at(80)) },
+		"null": func() chronon.Interval {
+			if rng.Intn(3) == 0 {
+				return chronon.Null()
+			}
+			s := at(100)
+			return chronon.New(s, s+at(10))
+		},
+	}
+	names := make([]string, 0, len(shapes))
+	for name := range shapes {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		for trial := 0; trial < 40; trial++ {
+			in := make([]chronon.Interval, rng.Intn(25))
+			for i := range in {
+				in[i] = shapes[name]()
+			}
+			cov, err := NewCoverage(in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for k := 1; k <= 64; k++ {
+				got, err := cov.Quantiles(k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				oracle, err := sortPerCallQuantiles(in, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				naive, err := NaiveCoverageQuantiles(in, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !slices.Equal(got, oracle) || !slices.Equal(got, naive) {
+					t.Fatalf("%s trial %d k=%d on %v:\n got    %v\n oracle %v\n naive  %v",
+						name, trial, k, in, got, oracle, naive)
+				}
+			}
+		}
+	}
+
+	huge := make([]chronon.Interval, 9)
+	for i := range huge {
+		huge[i] = chronon.New(chronon.Beginning, chronon.Forever)
+	}
+	if _, err := NewCoverage(huge); err == nil {
+		t.Fatal("NewCoverage accepted a multiset beyond 2^62 chronons")
+	}
+	if _, err := sortPerCallQuantiles(huge, 4); err == nil {
+		t.Fatal("oracle accepted a multiset beyond 2^62 chronons")
 	}
 }
