@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt check fuzz bench bench-check bench-smoke explain-smoke chaos-smoke shard-smoke codec-smoke serve-smoke subs-smoke
+.PHONY: all build test race vet fmt check fuzz bench bench-check bench-smoke explain-smoke chaos-smoke shard-smoke codec-smoke serve-smoke subs-smoke figures-check
 
 all: check
 
@@ -38,6 +38,22 @@ bench:
 bench-check:
 	$(GO) -C bench vet ./...
 	$(GO) -C bench test -race ./...
+
+# Figures 4-8 at scale 16, the tables EXPERIMENTS.md quotes, must match
+# internal/experiments/testdata/figures-scale16.golden exactly. The run
+# takes about a minute, so CI runs it and tier-1 does not. A change
+# meant to move a figure row rewrites the golden with the same loop.
+figures-check:
+	@tmp=$$(mktemp -d); \
+	trap 'rm -rf "$$tmp"' EXIT; \
+	$(GO) build -o $$tmp/vtbench ./cmd/vtbench || exit 1; \
+	for f in 4 5 6 7 8; do \
+		$$tmp/vtbench -figure $$f -scale 16 -seed 1994 > $$tmp/out || exit 1; \
+		grep -v '^\[figure' $$tmp/out >> $$tmp/figures.txt; \
+	done; \
+	diff -u internal/experiments/testdata/figures-scale16.golden $$tmp/figures.txt \
+		|| { echo "Figures 4-8 at scale 16 differ from the golden"; exit 1; }; \
+	echo "figures-check: Figures 4-8 at scale 16 match the golden"
 
 # Quick micro-benchmark pass (compile + a short run of every
 # benchmark) — catches benchmarks that no longer build or crash.

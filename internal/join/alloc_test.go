@@ -125,7 +125,7 @@ func TestLiveIndexProbeAllocFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(34))
 	window := genBatch(rng, 16, 512, 0, 10000, 0)
 	li := newLiveIndex([]int{0})
-	li.rebuild(window)
+	li.rebuild(liveEntries(window))
 	keyIdx := []int{0}
 	sink := func(_ tuple.Tuple) error { return nil }
 	i := 0

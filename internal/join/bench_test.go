@@ -167,3 +167,59 @@ func BenchmarkProbeBatchTimeJoin(b *testing.B) {
 		})
 	}
 }
+
+// longLivedSide generates one side of BenchmarkSortMergeLongLived's
+// input: n tuples whose keys are a permutation of 0..n-1, longLived of
+// them spread evenly through the relation and spanning half the
+// lifespan, the others one chronon long, each carrying a 91-byte pad
+// so that a v1 record takes about 128 bytes.
+func longLivedSide(rng *rand.Rand, n, longLived int, lifespan int64, side int) []tuple.Tuple {
+	pad := value.Bytes(make([]byte, 91))
+	keys := rng.Perm(n)
+	out := make([]tuple.Tuple, 0, n)
+	acc := 0
+	for i := 0; i < n; i++ {
+		var iv chronon.Interval
+		if acc += longLived; acc >= n {
+			acc -= n
+			st := chronon.Chronon(rng.Int63n(lifespan / 2))
+			iv = chronon.New(st, st+chronon.Chronon(lifespan/2))
+		} else {
+			iv = chronon.At(chronon.Chronon(rng.Int63n(lifespan)))
+		}
+		out = append(out, tuple.New(iv, value.Int(int64(keys[i])), value.Int(int64(side*1000000+i)), pad))
+	}
+	return out
+}
+
+// BenchmarkSortMergeLongLived measures a whole sort-merge on the shape
+// of the paper's long-lived point: 8,192 tuples a side, 2,000 of them
+// spanning half the lifespan, unique keys, about 128-byte v1 records
+// on 4 KiB pages and 64 buffer pages, so the live windows outgrow the
+// budget and spill.
+func BenchmarkSortMergeLongLived(b *testing.B) {
+	col := func(name string, k value.Kind) schema.Column { return schema.Column{Name: name, Kind: k} }
+	left := schema.MustNew(col("emp", value.KindInt), col("salary", value.KindInt), col("pad", value.KindBytes))
+	right := schema.MustNew(col("emp", value.KindInt), col("dept", value.KindInt), col("pad", value.KindBytes))
+	rng := rand.New(rand.NewSource(7))
+	d := disk.New(4096)
+	r, err := relation.FromTuples(d, left, longLivedSide(rng, 8192, 2000, 1_000_000, 1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	s, err := relation.FromTuples(d, right, longLivedSide(rng, 8192, 2000, 1_000_000, 2))
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, k := range []Kernel{KernelScan, KernelSweep} {
+		b.Run(k.String(), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				var sink relation.CountSink
+				if _, _, err := SortMerge(r, s, &sink, Spec{MemoryPages: 64, Kernel: k}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -42,10 +42,18 @@ type workload struct {
 	n         int
 	longEvery int // every k'th tuple is long-lived (0 = never)
 	lifespan  int64
+	// unique gives each side's tuples pairwise distinct keys, a
+	// permutation of 0..n-1, so a key matches at most one tuple of the
+	// other side; keys is then ignored.
+	unique bool
 }
 
 func (w workload) generate(rng *rand.Rand, side int) []tuple.Tuple {
 	out := make([]tuple.Tuple, 0, w.n)
+	var perm []int
+	if w.unique {
+		perm = rng.Perm(w.n)
+	}
 	for i := 0; i < w.n; i++ {
 		var iv chronon.Interval
 		if w.longEvery > 0 && i%w.longEvery == 0 {
@@ -55,7 +63,12 @@ func (w workload) generate(rng *rand.Rand, side int) []tuple.Tuple {
 			s := chronon.Chronon(rng.Int63n(w.lifespan))
 			iv = chronon.New(s, s+chronon.Chronon(rng.Int63n(w.lifespan/20+1)))
 		}
-		key := rng.Int63n(w.keys)
+		var key int64
+		if perm != nil {
+			key = int64(perm[i])
+		} else {
+			key = rng.Int63n(w.keys)
+		}
 		out = append(out, tuple.New(iv, value.Int(key), value.Int(int64(side*1000000+i))))
 	}
 	return out

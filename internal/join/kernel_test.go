@@ -6,6 +6,9 @@ import (
 	"testing"
 
 	"vtjoin/internal/chronon"
+	"vtjoin/internal/disk"
+	"vtjoin/internal/page"
+	"vtjoin/internal/relation"
 	"vtjoin/internal/schema"
 	"vtjoin/internal/tuple"
 	"vtjoin/internal/value"
@@ -135,42 +138,76 @@ func TestSweepTimePropertyVsOracle(t *testing.T) {
 // kernel switch is CPU-only. Every algorithm runs under KernelScan and
 // KernelSweep on identically built inputs, and both the device
 // counters (every field) and the canonicalized results must match
-// exactly. The workload's repeated keys and long-lived tuples push the
-// sort-merge live windows past the live-index activation threshold, so
-// the indexed merge path is exercised here too.
+// exactly. Both inputs' long-lived tuples push the sort-merge live
+// windows past the live-index activation size, so the indexed merge
+// path is exercised too: on repeated keys, and on unique keys with a
+// 16-page budget that evicts from windows while their index is active.
 func TestKernelsIdenticalResultsAndIO(t *testing.T) {
-	w := workload{keys: 24, n: 2500, longEvery: 6, lifespan: 200000}
-	rng := rand.New(rand.NewSource(88))
-	rTuples := w.generate(rng, 0)
-	sTuples := w.generate(rng, 1)
+	for _, in := range []struct {
+		name string
+		w    workload
+	}{
+		{"repeated-keys", workload{keys: 24, n: 2500, longEvery: 6, lifespan: 200000}},
+		{"unique-keys", workload{unique: true, n: 2500, longEvery: 3, lifespan: 200000}},
+	} {
+		t.Run(in.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(88))
+			rTuples := in.w.generate(rng, 0)
+			sTuples := in.w.generate(rng, 1)
 
-	run := func(algo Algorithm, k Kernel) outcome {
-		return runOutcome(t, algo, rTuples, sTuples, Spec{Kernel: k})
-	}
-
-	for _, algo := range Algorithms {
-		scan := run(algo, KernelScan)
-		sweep := run(algo, KernelSweep)
-		if sweep.counters != scan.counters {
-			t.Fatalf("%s: sweep counters %v != scan %v", algo, sweep.counters, scan.counters)
-		}
-		if len(sweep.results) != len(scan.results) {
-			t.Fatalf("%s: sweep produced %d results, scan %d", algo, len(sweep.results), len(scan.results))
-		}
-		for i := range scan.results {
-			if sweep.results[i] != scan.results[i] {
-				t.Fatalf("%s: result %d differs:\n sweep %v\n scan  %v", algo, i, sweep.results[i], scan.results[i])
+			run := func(algo Algorithm, k Kernel) outcome {
+				return runOutcome(t, algo, rTuples, sTuples, Spec{Kernel: k})
 			}
-		}
-		if len(scan.results) == 0 {
-			t.Fatalf("%s: empty result set exercises nothing", algo)
-		}
+
+			for _, algo := range Algorithms {
+				scan := run(algo, KernelScan)
+				sweep := run(algo, KernelSweep)
+				if sweep.counters != scan.counters {
+					t.Fatalf("%s: sweep counters %v != scan %v", algo, sweep.counters, scan.counters)
+				}
+				if len(sweep.results) != len(scan.results) {
+					t.Fatalf("%s: sweep produced %d results, scan %d", algo, len(sweep.results), len(scan.results))
+				}
+				for i := range scan.results {
+					if sweep.results[i] != scan.results[i] {
+						t.Fatalf("%s: result %d differs:\n sweep %v\n scan  %v", algo, i, sweep.results[i], scan.results[i])
+					}
+				}
+				if len(scan.results) == 0 {
+					t.Fatalf("%s: empty result set exercises nothing", algo)
+				}
+			}
+
+			// The sweep kernel must actually have merged through the
+			// index, with evictions, under runOutcome's budget.
+			d := disk.New(page.DefaultSize)
+			var sink relation.CountSink
+			_, st, err := SortMerge(load(t, d, empSchema, rTuples), load(t, d, deptSchema, sTuples), &sink,
+				Spec{MemoryPages: 16, Kernel: KernelSweep})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.LiveIndexActivations == 0 || st.SpillPagesPeak == 0 {
+				t.Fatalf("sort-merge under the sweep kernel: %d index activations, spill peak %d pages; want both > 0",
+					st.LiveIndexActivations, st.SpillPagesPeak)
+			}
+		})
 	}
 }
 
+// liveEntries wraps tuples as live-window entries; the index ignores
+// their footprints.
+func liveEntries(ts []tuple.Tuple) []liveEntry {
+	out := make([]liveEntry, len(ts))
+	for i, t := range ts {
+		out[i] = liveEntry{t: t}
+	}
+	return out
+}
+
 // TestLiveIndexProbeAndRebuild unit-tests the sort-merge live index:
-// distinct-key accounting on rebuild, probe bucket selection, and the
-// lazy gapless compaction of dead tuples.
+// probe bucket selection, the lazy gapless compaction of dead tuples,
+// and rebuild replacing the whole index.
 func TestLiveIndexProbeAndRebuild(t *testing.T) {
 	idx := []int{0}
 	mk := func(key int64, start, end chronon.Chronon) tuple.Tuple {
@@ -180,9 +217,7 @@ func TestLiveIndexProbeAndRebuild(t *testing.T) {
 	window := []tuple.Tuple{
 		mk(1, 0, 10), mk(1, 5, 8), mk(2, 0, 3), mk(1, 2, 4), mk(3, 7, 9),
 	}
-	if distinct := li.rebuild(window); distinct != 3 {
-		t.Fatalf("rebuild counted %d distinct keys, want 3", distinct)
-	}
+	li.rebuild(liveEntries(window))
 
 	probe := func(key int64, horizon chronon.Chronon) []tuple.Tuple {
 		var got []tuple.Tuple
@@ -219,13 +254,17 @@ func TestLiveIndexProbeAndRebuild(t *testing.T) {
 		t.Fatalf("probe(9, 0) found %d tuples, want 0", len(got))
 	}
 
-	// A unique-key window rebuild reports no repetition.
-	unique := []tuple.Tuple{mk(10, 0, 1), mk(11, 0, 1), mk(12, 0, 1)}
-	if distinct := li.rebuild(unique); distinct != 3 {
-		t.Fatalf("unique-key rebuild counted %d distinct keys, want 3", distinct)
+	// A rebuild replaces the index: the old window's keys are gone.
+	li.rebuild(liveEntries([]tuple.Tuple{mk(10, 0, 1), mk(11, 0, 1), mk(12, 0, 1)}))
+	if got := probe(1, 0); len(got) != 0 {
+		t.Fatalf("probe(1, 0) after rebuild found %d tuples, want 0", len(got))
 	}
-	if distinct := li.rebuild(nil); distinct != 0 {
-		t.Fatalf("empty rebuild counted %d distinct keys, want 0", distinct)
+	if got := probe(11, 0); len(got) != 1 {
+		t.Fatalf("probe(11, 0) after rebuild found %d tuples, want 1", len(got))
+	}
+	li.rebuild(nil)
+	if got := probe(11, 0); len(got) != 0 {
+		t.Fatalf("probe(11, 0) after an empty rebuild found %d tuples, want 0", len(got))
 	}
 }
 

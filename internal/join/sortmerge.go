@@ -14,6 +14,7 @@ import (
 	"vtjoin/internal/prefetch"
 	"vtjoin/internal/relation"
 	"vtjoin/internal/schema"
+	"vtjoin/internal/trace"
 	"vtjoin/internal/tuple"
 )
 
@@ -24,7 +25,7 @@ type SortMergeStats struct {
 	InnerPageRereads int64 // spill-file fetches (pages revisited after eviction)
 	SpillPagesPeak   int   // largest spill file seen, in pages
 	// LiveIndexActivations counts how often a live window's key index
-	// switched on (the sweep kernel's window-size/key-repetition guard).
+	// switched on (the sweep kernel's window-size guard).
 	LiveIndexActivations int64
 }
 
@@ -92,6 +93,7 @@ func SortMerge(r, s *relation.Relation, sink relation.Sink, cfg Spec) (*cost.Rep
 	}
 	m := &merger{
 		ctx:        cfg.Ctx,
+		tr:         tr,
 		plan:       plan,
 		pred:       pred,
 		kernel:     cfg.Kernel.resolve(),
@@ -123,6 +125,7 @@ func SortMerge(r, s *relation.Relation, sink relation.Sink, cfg Spec) (*cost.Rep
 	if err := m.run(); err != nil {
 		return nil, nil, err
 	}
+	tr.AuditNow("live-window-accounting", m.auditLive)
 	if err := sink.Flush(); err != nil {
 		return nil, nil, err
 	}
@@ -141,6 +144,61 @@ func SortMerge(r, s *relation.Relation, sink relation.Sink, cfg Spec) (*cost.Rep
 // merger's page format (for v1, encoded bytes plus one slot entry).
 func (m *merger) tupleBytes(t tuple.Tuple) int { return page.TupleFootprint(m.format, t) }
 
+// liveEntry is one tuple of a live window with its page footprint,
+// computed once when the tuple is consumed.
+type liveEntry struct {
+	t  tuple.Tuple
+	fp int
+}
+
+// endFP is a live entry's end chronon and footprint, the unit of a
+// window's end heap.
+type endFP struct {
+	end chronon.Chronon
+	fp  int
+}
+
+// endHeap is a min-heap of endFP keyed on end. It is typed rather than
+// a container/heap, whose interface boxing would allocate per push.
+type endHeap []endFP
+
+func (h *endHeap) push(e endFP) {
+	*h = append(*h, e)
+	a := *h
+	for i := len(a) - 1; i > 0; {
+		p := (i - 1) / 2
+		if a[p].end <= a[i].end {
+			break
+		}
+		a[p], a[i] = a[i], a[p]
+		i = p
+	}
+}
+
+func (h *endHeap) pop() endFP {
+	a := *h
+	top := a[0]
+	n := len(a) - 1
+	a[0] = a[n]
+	a = a[:n]
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && a[r].end < a[c].end {
+			c = r
+		}
+		if a[i].end <= a[c].end {
+			break
+		}
+		a[i], a[c] = a[c], a[i]
+		i = c
+	}
+	*h = a
+	return top
+}
+
 // mergeSide is one input stream of the merge plus its live window,
 // spill file, and the probes pending against that spill.
 type mergeSide struct {
@@ -155,25 +213,31 @@ type mergeSide struct {
 	done     bool
 
 	// live window: tuples from this side that later tuples of the
-	// other side may still match.
-	live      []tuple.Tuple
+	// other side may still match. A tuple is live while it ends at or
+	// after horizon, the start bound of the side's latest prune; the
+	// entries that die stay in the slice (every probe skips them by its
+	// interval check) until they make up half of it. ends holds exactly
+	// the live entries' ends and footprints in a min-heap, so its
+	// length is the live count, and a prune pops the entries that died
+	// and keeps liveBytes exact without rescanning the window.
+	live      []liveEntry
+	ends      endHeap
+	horizon   chronon.Chronon
 	liveBytes int
 	// liveIdx, under the sweep kernel of a keyed join, buckets the live
 	// window by join-key hash with lazy gapless compaction. It lags
-	// behind prune (pruned tuples linger in their buckets until a probe
+	// behind prune (dead tuples linger in their buckets until a probe
 	// walks past them — the probe horizon also excludes them, so they
 	// can never emit) and is rebuilt after evictions, which remove
 	// tuples the lazy criterion cannot see. idxActive gates it by
-	// window size and key repetition: a window below liveIndexMin
-	// tuples — or one whose join keys are mostly unique, leaving
-	// singleton buckets — scans faster than it can pay the per-step
-	// map churn. The index activates only when the window grows past
-	// the threshold with repeating keys (rebuilding from the window)
-	// and retires when it shrinks well below it; idxRetry defers the
-	// next activation attempt after a uniqueness rejection.
+	// window size alone: below liveIndexMin live tuples a scan beats
+	// the per-step map upkeep, above it a probe that touches one
+	// bucket beats a scan of the window even when every bucket holds
+	// one tuple. The index activates when the window grows to the
+	// threshold (rebuilding from the window) and retires when it
+	// shrinks to half of it.
 	liveIdx   *liveIndex
 	idxActive bool
-	idxRetry  int
 
 	// spill: live tuples evicted from memory.
 	spillFile   disk.FileID
@@ -190,7 +254,7 @@ type mergeSide struct {
 }
 
 func newMergeSide(s *extsort.Sorted, d *disk.Disk) *mergeSide {
-	return &mergeSide{sorted: s, d: d, pg: page.MustNew(d.PageSize())}
+	return &mergeSide{sorted: s, d: d, pg: page.MustNew(d.PageSize()), horizon: chronon.Beginning}
 }
 
 // head returns the next tuple without consuming it; ok is false at end
@@ -227,6 +291,7 @@ func (s *mergeSide) pop() tuple.Tuple {
 // merger runs the symmetric stream merge.
 type merger struct {
 	ctx        context.Context
+	tr         *trace.Tracer
 	plan       *schema.JoinPlan
 	pred       Predicate
 	kernel     Kernel // resolved
@@ -314,17 +379,18 @@ func (m *merger) run() error {
 // live windows' bookkeeping.
 func (m *merger) step(b int) error {
 	z := m.sides[b].pop()
+	fp := m.tupleBytes(z)
 	other := m.sides[1-b]
 
 	// Prune the other side's live window: z.V.Start is a lower bound on
 	// every future start, so tuples ending before it are dead for good.
-	other.prune(z.V.Start, m.tupleBytes)
+	other.prune(z.V.Start)
 
 	other.retireIndexIfSmall()
 
 	// Probe the other side's in-memory live window: the sweep kernel
 	// touches only z's key bucket (compacting it in place); the scan
-	// kernel walks the whole window.
+	// kernel walks the whole window, dead entries included.
 	if other.idxActive {
 		keyIdx := m.plan.LeftJoinIdx
 		if b == 1 {
@@ -340,7 +406,8 @@ func (m *merger) step(b int) error {
 			return err
 		}
 	} else {
-		for _, w := range other.live {
+		for _, e := range other.live {
+			w := e.t
 			if w.V.End < z.V.Start || w.V.Start > z.V.End {
 				continue
 			}
@@ -364,7 +431,7 @@ func (m *merger) step(b int) error {
 			}
 		} else {
 			other.pending = append(other.pending, z)
-			other.pendingBytes += m.tupleBytes(z)
+			other.pendingBytes += fp
 			if other.pendingBytes >= m.pageCap {
 				if err := m.flushPending(1 - b); err != nil {
 					return err
@@ -374,7 +441,7 @@ func (m *merger) step(b int) error {
 	}
 
 	// Retain z for future tuples of the other side.
-	return m.addLive(b, z)
+	return m.addLive(b, z, fp)
 }
 
 // liveIndexMin is the window size at which the live index activates;
@@ -385,79 +452,107 @@ const liveIndexMin = 64
 // far below the activation threshold (hysteresis avoids thrashing at
 // the boundary).
 func (s *mergeSide) retireIndexIfSmall() {
-	if s.idxActive && len(s.live) < liveIndexMin/2 {
+	if s.idxActive && len(s.ends) < liveIndexMin/2 {
 		s.liveIdx.rebuild(nil)
 		s.idxActive = false
-		// Size retirement, not a uniqueness rejection: the window's
-		// keys were repeating, so reactivate as soon as it regrows.
-		s.idxRetry = 0
 	}
 }
 
-// prune drops dead tuples from the live window; footprint is the
-// merger's per-tuple page-byte model.
-func (s *mergeSide) prune(minStart chronon.Chronon, footprint func(tuple.Tuple) int) {
+// prune moves the window's horizon up to minStart. The end heap pops
+// the entries that die there, so the byte total and the live count are
+// exact afterwards; the dead entries leave the slice once they make up
+// half of it.
+func (s *mergeSide) prune(minStart chronon.Chronon) {
+	s.horizon = minStart
+	for len(s.ends) > 0 && s.ends[0].end < minStart {
+		s.liveBytes -= s.ends.pop().fp
+	}
+	if dead := len(s.live) - len(s.ends); dead > 0 && 2*dead >= len(s.live) {
+		s.compact()
+	}
+}
+
+// compact drops the dead entries from the window slice, keeping the
+// live ones in order.
+func (s *mergeSide) compact() {
 	kept := s.live[:0]
-	bytes := 0
-	for _, y := range s.live {
-		if y.V.End >= minStart {
-			kept = append(kept, y)
-			bytes += footprint(y)
+	for _, e := range s.live {
+		if e.t.V.End >= s.horizon {
+			kept = append(kept, e)
 		}
 	}
-	for i := len(kept); i < len(s.live); i++ {
-		s.live[i] = tuple.Tuple{}
-	}
-	s.live, s.liveBytes = kept, bytes
+	clear(s.live[len(kept):])
+	s.live = kept
 }
 
-// addLive retains z in side b's window, evicting the longest-surviving
-// tuples to the side's spill file when the shared budget is exceeded.
-func (m *merger) addLive(b int, z tuple.Tuple) error {
+// auditLive recounts both windows: each side's byte total and live
+// count must equal the footprints and the number of its window's tuples
+// alive at the side's horizon.
+func (m *merger) auditLive() error {
+	for i, s := range m.sides {
+		bytes, count := 0, 0
+		for _, e := range s.live {
+			if e.t.V.End >= s.horizon {
+				bytes += m.tupleBytes(e.t)
+				count++
+			}
+		}
+		if bytes != s.liveBytes || count != len(s.ends) {
+			return fmt.Errorf("side %d at horizon %d: %d live tuples of %d bytes, accounted %d of %d",
+				i, s.horizon, count, bytes, len(s.ends), s.liveBytes)
+		}
+	}
+	return nil
+}
+
+// addLive retains z, whose footprint is fp, in side b's window,
+// evicting the longest-surviving tuples to the side's spill file when
+// the shared budget is exceeded.
+func (m *merger) addLive(b int, z tuple.Tuple, fp int) error {
 	s := m.sides[b]
-	s.live = append(s.live, z)
-	s.liveBytes += m.tupleBytes(z)
+	s.live = append(s.live, liveEntry{z, fp})
+	s.ends.push(endFP{z.V.End, fp})
+	s.liveBytes += fp
 	if s.idxActive {
 		s.liveIdx.add(z)
-	} else if s.liveIdx != nil && len(s.live) >= liveIndexMin && len(s.live) >= s.idxRetry {
-		// Activate only when keys actually repeat in the window (the
-		// average bucket holds at least two tuples): on a unique-key
-		// window every probe's bucket is a singleton, so the index can
-		// only add map churn to what a plain scan already does. After
-		// a failed attempt, don't retry until the window has doubled.
-		if distinct := s.liveIdx.rebuild(s.live); len(s.live) >= 2*distinct {
-			s.idxActive = true
-			m.stats.LiveIndexActivations++
-		} else {
-			s.liveIdx.rebuild(nil)
-			s.idxRetry = 2 * len(s.live)
-		}
+	} else if s.liveIdx != nil && len(s.ends) >= liveIndexMin {
+		s.liveIdx.rebuild(s.live)
+		s.idxActive = true
+		m.stats.LiveIndexActivations++
 	}
 	if m.sides[0].liveBytes+m.sides[1].liveBytes <= m.liveBudget {
 		return nil
 	}
+	m.tr.AuditNow("live-window-accounting", m.auditLive)
 	// Evict from the larger window, down to 3/4 of its share: the
 	// tuples with the largest end chronons stay alive longest and are
-	// spilled first.
+	// spilled first. Compacting first hands the sort exactly the live
+	// tuples, in window order.
 	victim := m.sides[0]
 	if m.sides[1].liveBytes > m.sides[0].liveBytes {
 		victim = m.sides[1]
 	}
-	sort.Slice(victim.live, func(i, j int) bool { return victim.live[i].V.End < victim.live[j].V.End })
+	victim.compact()
+	sort.Slice(victim.live, func(i, j int) bool { return victim.live[i].t.V.End < victim.live[j].t.V.End })
 	target := victim.liveBytes * 3 / 4
 	cut := len(victim.live)
 	bytes := victim.liveBytes
 	for cut > 0 && bytes > target {
 		cut--
-		bytes -= m.tupleBytes(victim.live[cut])
+		bytes -= victim.live[cut].fp
 	}
 	evicted := make([]tuple.Tuple, len(victim.live)-cut)
-	copy(evicted, victim.live[cut:])
-	for i := cut; i < len(victim.live); i++ {
-		victim.live[i] = tuple.Tuple{}
+	for i, e := range victim.live[cut:] {
+		evicted[i] = e.t
 	}
+	clear(victim.live[cut:])
 	victim.live = victim.live[:cut]
 	victim.liveBytes = bytes
+	// The survivors are sorted by end, which is already heap order.
+	victim.ends = victim.ends[:0]
+	for _, e := range victim.live {
+		victim.ends = append(victim.ends, endFP{e.t.V.End, e.fp})
+	}
 	if victim.idxActive {
 		// Eviction removed window tuples the lazy bucket compaction
 		// cannot detect (their ends are the largest, not the smallest);

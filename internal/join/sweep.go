@@ -288,13 +288,15 @@ func (m *matcher) sweepTime(ys []tuple.Tuple, emit func(outerIdx int32, z tuple.
 // liveIndex is the sweep kernel's view of a sort-merge live window
 // (sortmerge.go): the window's tuples bucketed by join-key hash, so a
 // probing tuple touches only its own key's bucket instead of scanning
-// the whole window. The merge consumes tuples in global start order,
-// so probe horizons are monotone and buckets compact lazily: a tuple
-// ending before the current probe's start can never match again and is
-// dropped gaplessly the first time a probe walks past it. Eviction to
-// the spill file removes live tuples the lazy criterion cannot see, so
-// the merger rebuilds the index from the surviving window after each
-// eviction.
+// the whole window. That pays off on any window past a few dozen
+// tuples, nearly unique keys included: a singleton bucket costs one
+// map lookup where a scan tests every window tuple. The merge consumes
+// tuples in global start order, so probe horizons are monotone and
+// buckets compact lazily: a tuple ending before the current probe's
+// start can never match again and is dropped gaplessly the first time
+// a probe walks past it. Eviction to the spill file removes live
+// tuples the lazy criterion cannot see, so the merger rebuilds the
+// index from the surviving window after each eviction.
 type liveIndex struct {
 	idx     []int // join-key positions for this side's tuples
 	buckets map[uint64][]tuple.Tuple
@@ -310,24 +312,15 @@ func (li *liveIndex) add(t tuple.Tuple) {
 	li.buckets[h] = append(li.buckets[h], t)
 }
 
-// rebuild resets the index to exactly the given window (after an
-// eviction changed the window beyond the lazy criterion) and reports
-// how many distinct key hashes the window holds — the activation
-// logic uses it to detect windows whose keys do not repeat, where
-// bucketing cannot beat a plain scan.
-func (li *liveIndex) rebuild(live []tuple.Tuple) int {
-	for h := range li.buckets {
-		li.buckets[h] = li.buckets[h][:0]
+// rebuild resets the index to exactly the given window (on activation,
+// and after an eviction changed the window beyond the lazy criterion).
+// It clears the map rather than keeping an empty bucket for every key
+// the window has ever held.
+func (li *liveIndex) rebuild(live []liveEntry) {
+	clear(li.buckets)
+	for _, e := range live {
+		li.add(e.t)
 	}
-	distinct := 0
-	for _, t := range live {
-		h := tuple.HashAt(t, li.idx)
-		if len(li.buckets[h]) == 0 {
-			distinct++
-		}
-		li.buckets[h] = append(li.buckets[h], t)
-	}
-	return distinct
 }
 
 // probe calls fn for every indexed tuple with z's key hash that is
